@@ -251,6 +251,72 @@ fn bench_memsim(r: &mut BenchRunner) {
     }
 }
 
+/// Records the load spans a memory model is handed as batches (and
+/// nothing else): the reference stream of one motion search.
+#[derive(Default)]
+struct SpanRecorder {
+    spans: Vec<(u64, u64)>,
+    counters: m4ps_memsim::Counters,
+}
+
+impl MemModel for SpanRecorder {
+    fn access_range(&mut self, _addr: u64, _len: u64, _kind: AccessKind, _arch_ops: u64) {}
+
+    fn access_loads(&mut self, spans: &[(u64, u64)]) {
+        self.spans.extend_from_slice(spans);
+    }
+
+    fn prefetch(&mut self, _addr: u64) {}
+
+    fn add_ops(&mut self, _ops: u64) {}
+
+    fn counters(&self) -> &m4ps_memsim::Counters {
+        &self.counters
+    }
+}
+
+/// The motion-search charging pair: the span stream of one PAL ±8
+/// integer full search (the paper's window) charged as one
+/// `access_loads` batch vs one `access_range` per span, both on a
+/// persistent O2 hierarchy. Only the charging is timed.
+fn bench_search_charging(r: &mut BenchRunner) {
+    use m4ps_codec::{MotionSearch, SearchStrategy, TracedPlane};
+    use m4ps_memsim::NullModel;
+    use m4ps_vidgen::{Resolution, Scene, SceneSpec};
+
+    let res = Resolution::PAL;
+    let scene = Scene::new(SceneSpec {
+        resolution: res,
+        objects: 0,
+        seed: 7,
+    });
+    let mut space = AddressSpace::new();
+    let mut null = NullModel::new();
+    let mut plane = |t: usize| {
+        let mut p = TracedPlane::new(&mut space, res.width, res.height);
+        p.copy_from(&mut null, &scene.frame(t).y, false);
+        p.pad_borders(&mut null);
+        p
+    };
+    let (reference, cur) = (plane(0), plane(1));
+    let mut rec = SpanRecorder::default();
+    let search = MotionSearch::new(SearchStrategy::FullSearch, 8, false);
+    let _ = search.search(&mut rec, &cur, &reference, 20, 18);
+    let spans = rec.spans;
+    let bytes: u64 = spans.iter().map(|&(_, len)| len).sum();
+
+    let mut h = Hierarchy::new(MachineSpec::o2());
+    r.bench_bytes("memsim/search_batch", bytes, || {
+        h.access_loads(black_box(&spans));
+    });
+    let mut h = Hierarchy::new(MachineSpec::o2());
+    r.bench_bytes("memsim/search_rows", bytes, || {
+        for &(addr, len) in black_box(&spans) {
+            h.access_range(addr, len, AccessKind::Load, len);
+        }
+    });
+}
+
 fn bench_parallel(r: &mut BenchRunner) {
     use m4ps_memsim::NullModel;
     use m4ps_vidgen::{Resolution, Scene, SceneSpec};
@@ -574,6 +640,7 @@ fn main() {
     bench_bitstream(&mut r);
     bench_arith(&mut r);
     bench_memsim(&mut r);
+    bench_search_charging(&mut r);
     bench_parallel(&mut r);
     bench_parallel_decode(&mut r);
     bench_obs_overhead(&mut r);

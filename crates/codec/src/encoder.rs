@@ -10,7 +10,7 @@ use crate::mbops::{
     IntraPredState, MvPredictor, StreamCharge,
 };
 use crate::mc::{average_predictions, motion_compensate_block};
-use crate::me::MotionSearch;
+use crate::me::{MotionSearch, SearchCharges};
 use crate::plane::{FrameSink, FrameViewMut, RowSink, TracedFrame, TracedPlane};
 use crate::rate::RateController;
 use crate::shape::{classify_bab, encode_alpha_plane, BabClass};
@@ -1173,15 +1173,17 @@ pub(crate) fn fill_bbox_ring<M: MemModel, F: FrameSink>(
 pub(crate) const SLICE_CHARGE_SPAN: u64 = 64 * 1024;
 
 /// Reusable per-slice coding state: the texture pipeline's traced
-/// scratch buffers and the slice's motion-vector predictors. Cloned
-/// from the coder's template once per slice index and recycled every
-/// VOP — texture clones keep their simulated base addresses, so reuse
-/// charges exactly the traffic a fresh clone would.
+/// scratch buffers, the slice's motion-vector predictors and the motion
+/// search's charge batch. Cloned from the coder's template once per
+/// slice index and recycled every VOP — texture clones keep their
+/// simulated base addresses, so reuse charges exactly the traffic a
+/// fresh clone would.
 #[derive(Debug)]
 pub(crate) struct SliceScratch {
     pub(crate) texture: TextureCoder,
     pub(crate) fwd_pred: MvPredictor,
     pub(crate) bwd_pred: MvPredictor,
+    pub(crate) me_charges: SearchCharges,
 }
 
 impl SliceScratch {
@@ -1190,6 +1192,7 @@ impl SliceScratch {
             texture: template.clone(),
             fwd_pred: MvPredictor::new(mb_cols),
             bwd_pred: MvPredictor::new(mb_cols),
+            me_charges: SearchCharges::default(),
         }
     }
 }
@@ -1604,6 +1607,7 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
         texture,
         fwd_pred,
         bwd_pred,
+        me_charges,
     } = scratch;
     {
         fwd_pred.start_row();
@@ -1663,16 +1667,16 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
                 VopKind::P => {
                     let reference = fwd.expect("P-VOP requires a forward reference");
                     encode_p_mb(
-                        mem, cur, reference, recon, texture, search, qp, mbx, mby, &mut ips,
-                        fwd_pred, w, stats, four_mv,
+                        mem, cur, reference, recon, texture, me_charges, search, qp, mbx, mby,
+                        &mut ips, fwd_pred, w, stats, four_mv,
                     );
                 }
                 VopKind::B => {
                     let f = fwd.expect("B-VOP requires a forward reference");
                     let b = bwd.expect("B-VOP requires a backward reference");
                     encode_b_mb(
-                        mem, cur, f, b, recon, texture, search, qp, mbx, mby, fwd_pred, bwd_pred,
-                        w, stats,
+                        mem, cur, f, b, recon, texture, me_charges, search, qp, mbx, mby, fwd_pred,
+                        bwd_pred, w, stats,
                     );
                     ips = IntraPredState::reset();
                 }
@@ -1951,6 +1955,7 @@ fn encode_p_mb<M: MemModel, F: FrameSink>(
     reference: &TracedFrame,
     recon: &mut F,
     texture: &mut TextureCoder,
+    me_charges: &mut SearchCharges,
     search: &MotionSearch,
     qp: u8,
     mbx: usize,
@@ -1961,7 +1966,7 @@ fn encode_p_mb<M: MemModel, F: FrameSink>(
     stats: &mut VopStats,
     four_mv: bool,
 ) {
-    let outcome = search.search(mem, &cur.y, &reference.y, mbx, mby);
+    let outcome = search.search_with(mem, me_charges, &cur.y, &reference.y, mbx, mby);
     stats.candidates += u64::from(outcome.candidates);
 
     // Advanced prediction: refine each 8x8 quadrant around the MB winner.
@@ -1972,7 +1977,15 @@ fn encode_p_mb<M: MemModel, F: FrameSink>(
         for (blk, mv) in mvs4.iter_mut().enumerate() {
             let bx = (mbx * 16 + (blk % 2) * 8) as isize;
             let by = (mby * 16 + (blk / 2) * 8) as isize;
-            let o = search.refine_block8(mem, &cur.y, &reference.y, bx, by, outcome.mv);
+            let o = search.refine_block8_with(
+                mem,
+                me_charges,
+                &cur.y,
+                &reference.y,
+                bx,
+                by,
+                outcome.mv,
+            );
             stats.candidates += u64::from(o.candidates);
             *mv = o.mv;
             total = total.saturating_add(o.sad);
@@ -2098,6 +2111,7 @@ fn encode_b_mb<M: MemModel, F: FrameSink>(
     bwd: &TracedFrame,
     recon: &mut F,
     texture: &mut TextureCoder,
+    me_charges: &mut SearchCharges,
     search: &MotionSearch,
     qp: u8,
     mbx: usize,
@@ -2107,8 +2121,8 @@ fn encode_b_mb<M: MemModel, F: FrameSink>(
     w: &mut BitWriter,
     stats: &mut VopStats,
 ) {
-    let of = search.search(mem, &cur.y, &fwd.y, mbx, mby);
-    let ob = search.search(mem, &cur.y, &bwd.y, mbx, mby);
+    let of = search.search_with(mem, me_charges, &cur.y, &fwd.y, mbx, mby);
+    let ob = search.search_with(mem, me_charges, &cur.y, &bwd.y, mbx, mby);
     stats.candidates += u64::from(of.candidates + ob.candidates);
 
     // Evaluate the interpolated mode with the two winners.

@@ -18,6 +18,76 @@ use m4ps_obs::{span, MetricId, Phase};
 /// Per-pixel-row SAD compute cost (16 abs-diff-accumulate triples).
 const SAD_ROW_OPS: u64 = 48;
 
+/// Spans one batch may hold before it is charged early. A ±8 full
+/// search records at most 289 candidates × 16 rows × 2 spans; wider
+/// searches charge in several batches, which is just as exact.
+const MAX_BATCH_SPANS: usize = 1 << 14;
+
+/// The reference stream of a motion search, recorded for one
+/// [`MemModel::access_loads`] batch: the row spans in the order the
+/// per-row replay charged them, and the summed SAD compute ops. Kept in
+/// the slice scratch, so steady-state searches allocate nothing.
+///
+/// Under a model that wants no batches ([`MemModel::wants_batches`],
+/// such as `NullModel`) nothing is recorded: each row is charged as it
+/// is replayed.
+#[derive(Debug, Default)]
+pub(crate) struct SearchCharges {
+    spans: Vec<(u64, u64)>,
+    ops: u64,
+}
+
+impl SearchCharges {
+    /// The traced read of `len` pixels of `plane`'s row `y` from `x`.
+    fn load_row<M: MemModel>(
+        &mut self,
+        mem: &mut M,
+        plane: &TracedPlane,
+        x: isize,
+        y: isize,
+        len: usize,
+    ) {
+        if mem.wants_batches() {
+            self.spans.push(plane.row_span(x, y, len));
+        } else {
+            plane.touch_row_read(mem, x, y, len);
+        }
+    }
+
+    /// `ops` compute instructions.
+    fn add_ops<M: MemModel>(&mut self, mem: &mut M, ops: u64) {
+        if mem.wants_batches() {
+            self.ops += ops;
+        } else {
+            mem.add_ops(ops);
+        }
+    }
+
+    /// Ends a candidate: charges the batch early once it is full.
+    fn end_candidate<M: MemModel>(&mut self, mem: &mut M) {
+        if mem.wants_batches() && self.spans.len() >= MAX_BATCH_SPANS {
+            self.flush(mem);
+        }
+    }
+
+    /// Charges everything recorded so far. Called before every profiler
+    /// span boundary, so each phase is charged exactly what it was
+    /// charged row by row.
+    fn flush<M: MemModel>(&mut self, mem: &mut M) {
+        if !mem.wants_batches() {
+            return;
+        }
+        if !self.spans.is_empty() {
+            mem.access_loads(&self.spans);
+            self.spans.clear();
+        }
+        if self.ops > 0 {
+            mem.add_ops(self.ops);
+            self.ops = 0;
+        }
+    }
+}
+
 /// Result of a block search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOutcome {
@@ -65,11 +135,13 @@ impl MotionSearch {
     ///
     /// Computes first on the raw surfaces through the fixed-size dsp
     /// kernels, then replays the per-row reference stream (current row,
-    /// reference row, row ops) for the rows the cutoff let the kernel
-    /// visit — the same interleaved charges the staged row loop issued.
+    /// reference row, row ops) into `charges` for the rows the cutoff
+    /// let the kernel visit — the same interleaved charges the staged
+    /// row loop issued.
     #[allow(clippy::too_many_arguments)]
     fn sad_candidate_sized<M: MemModel>(
         mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         bx: isize,
@@ -94,10 +166,11 @@ impl MotionSearch {
             _ => unreachable!("unsupported block size {size}"),
         };
         for row in 0..rows as isize {
-            cur.touch_row_read(mem, bx, by + row, size);
-            reference.touch_row_read(mem, bx + dx, by + dy + row, size);
-            mem.add_ops(SAD_ROW_OPS * size as u64 / 16);
+            charges.load_row(mem, cur, bx, by + row, size);
+            charges.load_row(mem, reference, bx + dx, by + dy + row, size);
+            charges.add_ops(mem, SAD_ROW_OPS * size as u64 / 16);
         }
+        charges.end_candidate(mem);
         acc
     }
 
@@ -105,6 +178,7 @@ impl MotionSearch {
     #[allow(clippy::too_many_arguments)]
     fn sad_candidate<M: MemModel>(
         mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         bx: isize,
@@ -113,7 +187,7 @@ impl MotionSearch {
         dy: isize,
         cutoff: u32,
     ) -> u32 {
-        Self::sad_candidate_sized(mem, cur, reference, bx, by, dx, dy, cutoff, 16)
+        Self::sad_candidate_sized(mem, charges, cur, reference, bx, by, dx, dy, cutoff, 16)
     }
 
     /// SAD against the half-pel interpolated reference at `(dx, dy)` in
@@ -121,6 +195,7 @@ impl MotionSearch {
     #[allow(clippy::too_many_arguments)]
     fn sad_half_pel_sized<M: MemModel>(
         mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         bx: isize,
@@ -155,17 +230,18 @@ impl MotionSearch {
         // `sy + 1` and every later row only the new bottom row; without
         // one, each row reads its own reference row.
         for row in 0..rows as isize {
-            cur.touch_row_read(mem, bx, by + row, size);
+            charges.load_row(mem, cur, bx, by + row, size);
             if frac_y {
                 if row == 0 {
-                    reference.touch_row_read(mem, sx, sy, cols);
+                    charges.load_row(mem, reference, sx, sy, cols);
                 }
-                reference.touch_row_read(mem, sx, sy + row + 1, cols);
+                charges.load_row(mem, reference, sx, sy + row + 1, cols);
             } else {
-                reference.touch_row_read(mem, sx, sy + row, cols);
+                charges.load_row(mem, reference, sx, sy + row, cols);
             }
-            mem.add_ops(SAD_ROW_OPS * 2 * size as u64 / 16);
+            charges.add_ops(mem, SAD_ROW_OPS * 2 * size as u64 / 16);
         }
+        charges.end_candidate(mem);
         acc
     }
 
@@ -173,6 +249,7 @@ impl MotionSearch {
     #[allow(clippy::too_many_arguments)]
     fn sad_half_pel<M: MemModel>(
         mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         bx: isize,
@@ -180,7 +257,7 @@ impl MotionSearch {
         mv: MotionVector,
         cutoff: u32,
     ) -> u32 {
-        Self::sad_half_pel_sized(mem, cur, reference, bx, by, mv, cutoff, 16)
+        Self::sad_half_pel_sized(mem, charges, cur, reference, bx, by, mv, cutoff, 16)
     }
 
     /// Refines one 8×8 block (advanced-prediction / 4MV mode) around the
@@ -190,6 +267,23 @@ impl MotionSearch {
     pub fn refine_block8<M: MemModel>(
         &self,
         mem: &mut M,
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        bx: isize,
+        by: isize,
+        center: MotionVector,
+    ) -> SearchOutcome {
+        let mut charges = SearchCharges::default();
+        self.refine_block8_with(mem, &mut charges, cur, reference, bx, by, center)
+    }
+
+    /// [`MotionSearch::refine_block8`] recording into the caller's
+    /// recycled `charges`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn refine_block8_with<M: MemModel>(
+        &self,
+        mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         bx: isize,
@@ -208,14 +302,16 @@ impl MotionSearch {
                 for dx in -2isize..=2 {
                     let (tx, ty) = (clamp_full((cx + dx) as i32), clamp_full((cy + dy) as i32));
                     candidates += 1;
-                    let sad =
-                        Self::sad_candidate_sized(mem, cur, reference, bx, by, tx, ty, best_sad, 8);
+                    let sad = Self::sad_candidate_sized(
+                        mem, charges, cur, reference, bx, by, tx, ty, best_sad, 8,
+                    );
                     if sad < best_sad {
                         best_sad = sad;
                         best = (tx, ty);
                     }
                 }
             }
+            charges.flush(mem);
             let mut best_mv = MotionVector::from_full_pel(best.0 as i16, best.1 as i16);
             if self.half_pel {
                 span!(mem, Phase::MeHalfPel, {
@@ -230,7 +326,7 @@ impl MotionSearch {
                             }
                             candidates += 1;
                             let sad = Self::sad_half_pel_sized(
-                                mem, cur, reference, bx, by, cand, best_sad, 8,
+                                mem, charges, cur, reference, bx, by, cand, best_sad, 8,
                             );
                             if sad < best_sad {
                                 best_sad = sad;
@@ -238,6 +334,7 @@ impl MotionSearch {
                             }
                         }
                     }
+                    charges.flush(mem);
                 });
             }
             SearchOutcome {
@@ -258,16 +355,32 @@ impl MotionSearch {
         mbx: usize,
         mby: usize,
     ) -> SearchOutcome {
-        let out = self.search_inner(mem, cur, reference, mbx, mby);
+        self.search_with(mem, &mut SearchCharges::default(), cur, reference, mbx, mby)
+    }
+
+    /// [`MotionSearch::search`] recording into the caller's recycled
+    /// `charges`.
+    pub(crate) fn search_with<M: MemModel>(
+        &self,
+        mem: &mut M,
+        charges: &mut SearchCharges,
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        mbx: usize,
+        mby: usize,
+    ) -> SearchOutcome {
+        let out = self.search_inner(mem, charges, cur, reference, mbx, mby);
         m4ps_obs::histogram_record(MetricId::MeSadPerSearch, u64::from(out.candidates));
         out
     }
 
     /// The span-instrumented search body: one `me.search` span per
     /// macroblock with the fractional refinement nested as `me.halfpel`.
+    /// The integer search and the refinement each charge as one batch.
     fn search_inner<M: MemModel>(
         &self,
         mem: &mut M,
+        charges: &mut SearchCharges,
         cur: &TracedPlane,
         reference: &TracedPlane,
         mbx: usize,
@@ -282,11 +395,13 @@ impl MotionSearch {
         let mut candidates = 0u32;
 
         // Seed with the zero vector (the skip candidate).
-        let mut best_sad = Self::sad_candidate(mem, cur, reference, bx, by, 0, 0, u32::MAX);
+        let mut best_sad =
+            Self::sad_candidate(mem, charges, cur, reference, bx, by, 0, 0, u32::MAX);
         let mut best = (0isize, 0isize);
         candidates += 1;
 
         let try_candidate = |mem: &mut M,
+                             charges: &mut SearchCharges,
                              dx: isize,
                              dy: isize,
                              best: &mut (isize, isize),
@@ -300,7 +415,7 @@ impl MotionSearch {
                 return;
             }
             *candidates += 1;
-            let sad = Self::sad_candidate(mem, cur, reference, bx, by, dx, dy, *best_sad);
+            let sad = Self::sad_candidate(mem, charges, cur, reference, bx, by, dx, dy, *best_sad);
             if sad < *best_sad {
                 *best_sad = sad;
                 *best = (dx, dy);
@@ -314,7 +429,15 @@ impl MotionSearch {
                 // offset one pixel between candidates (paper §3.2).
                 for dy in -r..=r {
                     for dx in -r..=r {
-                        try_candidate(mem, dx, dy, &mut best, &mut best_sad, &mut candidates);
+                        try_candidate(
+                            mem,
+                            charges,
+                            dx,
+                            dy,
+                            &mut best,
+                            &mut best_sad,
+                            &mut candidates,
+                        );
                     }
                 }
             }
@@ -329,6 +452,7 @@ impl MotionSearch {
                         for dx in [-step, 0, step] {
                             try_candidate(
                                 mem,
+                                charges,
                                 cx + dx,
                                 cy + dy,
                                 &mut best,
@@ -358,6 +482,7 @@ impl MotionSearch {
                     for (dx, dy) in LDSP {
                         try_candidate(
                             mem,
+                            charges,
                             cx + dx,
                             cy + dy,
                             &mut best,
@@ -373,6 +498,7 @@ impl MotionSearch {
                 for (dx, dy) in SDSP {
                     try_candidate(
                         mem,
+                        charges,
                         cx + dx,
                         cy + dy,
                         &mut best,
@@ -383,6 +509,7 @@ impl MotionSearch {
             }
         }
 
+        charges.flush(mem);
         let mut best_mv = MotionVector::from_full_pel(best.0 as i16, best.1 as i16);
 
         if self.half_pel {
@@ -401,13 +528,16 @@ impl MotionSearch {
                             continue;
                         }
                         candidates += 1;
-                        let sad = Self::sad_half_pel(mem, cur, reference, bx, by, cand, best_sad);
+                        let sad = Self::sad_half_pel(
+                            mem, charges, cur, reference, bx, by, cand, best_sad,
+                        );
                         if sad < best_sad {
                             best_sad = sad;
                             best_mv = cand;
                         }
                     }
                 }
+                charges.flush(mem);
             });
         }
 

@@ -129,6 +129,16 @@ impl TracedPlane {
         self.buf.touch_read(mem, self.index(x, y), len);
     }
 
+    /// The `(address, bytes)` span [`TracedPlane::touch_row_read`]
+    /// would charge for a non-empty row, under the same bounds checks,
+    /// for a caller that charges it later in a [`MemModel::access_loads`]
+    /// batch.
+    pub(crate) fn row_span(&self, x: isize, y: isize, len: usize) -> (u64, u64) {
+        let i = self.index(x, y);
+        assert!(len > 0 && i + len <= self.buf.len());
+        (self.buf.addr_of(i), len as u64)
+    }
+
     /// Charges traced reads of a `w × h` pixel window at `(x, y)` as one
     /// rectangular charge: identical counters, in identical order, to
     /// issuing [`TracedPlane::load_row`] for each row `y..y+h`.

@@ -7,8 +7,14 @@
 //! This is the pinned-scenario half of the differential suite; the
 //! random-stream half lives in `crates/memsim/tests/fastpath_equiv.rs`.
 
-use m4ps_codec::{EncoderConfig, FrameView, GopStructure, VideoObjectCoder, VideoObjectDecoder};
-use m4ps_memsim::{AddressSpace, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel};
+use m4ps_codec::{
+    EncoderConfig, FrameView, GopStructure, SearchStrategy, VideoObjectCoder, VideoObjectDecoder,
+};
+use m4ps_memsim::{
+    AccessKind, AddressSpace, Counters, Hierarchy, MachineSpec, MemModel, NaiveHierarchy,
+    ParallelModel,
+};
+use m4ps_obs::{PhaseProfile, Profiler};
 use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
 const FRAMES: usize = 4;
@@ -26,13 +32,17 @@ fn test_config(slices: usize) -> EncoderConfig {
 }
 
 fn encode<M: ParallelModel>(mem: &mut M, slices: usize, threads: usize) -> Vec<u8> {
+    encode_with(mem, test_config(slices), threads)
+}
+
+fn encode_with<M: ParallelModel>(mem: &mut M, config: EncoderConfig, threads: usize) -> Vec<u8> {
     let scene = Scene::new(SceneSpec {
         resolution: Resolution::QCIF,
         objects: 0,
         seed: 7,
     });
     let mut space = AddressSpace::new();
-    let mut coder = VideoObjectCoder::new(&mut space, 176, 144, test_config(slices)).unwrap();
+    let mut coder = VideoObjectCoder::new(&mut space, 176, 144, config).unwrap();
     coder.set_threads(threads);
     let mut stream = coder.header_bytes();
     for t in 0..FRAMES {
@@ -147,4 +157,140 @@ fn encode_is_counter_identical_on_onyx2() {
     let naive_stream = encode(&mut naive, 4, 2);
     assert_eq!(fast_stream, naive_stream);
     assert_models_equal(&fast, &naive, "encode onyx2");
+}
+
+/// Motion search charges each search as load batches: every strategy,
+/// half-pel refinement on and off, and advanced prediction's 8×8
+/// refinement (`refine_block8`) must code the same stream and charge the
+/// same counters under the fast and the naive model.
+#[test]
+fn every_search_shape_is_bit_identical_under_fast_and_naive_models() {
+    for search in [
+        SearchStrategy::FullSearch,
+        SearchStrategy::ThreeStep,
+        SearchStrategy::Diamond,
+    ] {
+        for half_pel in [false, true] {
+            for four_mv in [false, true] {
+                let config = EncoderConfig {
+                    search,
+                    search_range: 8,
+                    half_pel,
+                    four_mv,
+                    ..test_config(1)
+                };
+                let what = format!("{search:?} half_pel={half_pel} four_mv={four_mv}");
+                let mut fast = Hierarchy::new(MachineSpec::o2());
+                let mut naive = NaiveHierarchy::new(MachineSpec::o2());
+                let fast_stream = encode_with(&mut fast, config, 1);
+                let naive_stream = encode_with(&mut naive, config, 1);
+                assert_eq!(fast_stream, naive_stream, "{what}: bitstream diverged");
+                assert_models_equal(&fast, &naive, &what);
+                assert!(
+                    fast.load_batch_stats().0 > 0,
+                    "{what}: no search was charged as a batch"
+                );
+            }
+        }
+    }
+}
+
+/// A [`Hierarchy`] that asks to be charged access by access
+/// (`wants_batches() == false`), so motion search charges every SAD row
+/// as it replays it: the reference for batched charging.
+struct RowByRow(Hierarchy);
+
+impl MemModel for RowByRow {
+    fn access_range(&mut self, addr: u64, len: u64, kind: AccessKind, arch_ops: u64) {
+        self.0.access_range(addr, len, kind, arch_ops);
+    }
+
+    fn access_rect(
+        &mut self,
+        addr: u64,
+        stride: u64,
+        rows: u64,
+        row_bytes: u64,
+        kind: AccessKind,
+        ops_per_row: u64,
+    ) {
+        self.0
+            .access_rect(addr, stride, rows, row_bytes, kind, ops_per_row);
+    }
+
+    fn wants_batches(&self) -> bool {
+        false
+    }
+
+    fn prefetch(&mut self, addr: u64) {
+        self.0.prefetch(addr);
+    }
+
+    fn add_ops(&mut self, ops: u64) {
+        self.0.add_ops(ops);
+    }
+
+    fn counters(&self) -> &Counters {
+        self.0.counters()
+    }
+}
+
+impl ParallelModel for RowByRow {
+    fn fork(&self) -> Self {
+        RowByRow(self.0.fork())
+    }
+
+    fn absorb(&mut self, child: Self) {
+        self.0.absorb(child.0);
+    }
+}
+
+/// Encodes with the profiler attached, returning the stream and each
+/// phase's counters and span count (wall times left out).
+fn profiled_encode<M: ParallelModel>(
+    mem: &mut M,
+    config: EncoderConfig,
+) -> (Vec<u8>, Vec<(&'static str, Counters, u64)>) {
+    let profiler = Profiler::new(false);
+    let guard = profiler.attach();
+    let stream = encode_with(mem, config, 2);
+    drop(guard);
+    let profile: PhaseProfile = profiler.profile();
+    let phases = profile
+        .iter()
+        .map(|(p, s)| (p.name(), s.counters, s.entries))
+        .collect();
+    (stream, phases)
+}
+
+/// Batching moves no charge across a profiler span boundary: with full
+/// search, half-pel refinement and advanced prediction, every phase of
+/// the profile (`me.search`, `me.halfpel`, and the rest) is charged
+/// exactly what row-by-row charging charges it, sliced or not.
+#[test]
+fn batched_search_charges_each_phase_what_rows_charge_it() {
+    for slices in [1, 3] {
+        let config = EncoderConfig {
+            search: SearchStrategy::FullSearch,
+            search_range: 8,
+            half_pel: true,
+            four_mv: true,
+            ..test_config(slices)
+        };
+        let mut batched = Hierarchy::new(MachineSpec::o2());
+        let mut rows = RowByRow(Hierarchy::new(MachineSpec::o2()));
+        let (batched_stream, batched_profile) = profiled_encode(&mut batched, config);
+        let (rows_stream, rows_profile) = profiled_encode(&mut rows, config);
+        assert_eq!(batched_stream, rows_stream, "slices={slices}");
+        assert_eq!(batched.counters(), rows.counters(), "slices={slices}");
+        assert_eq!(batched_profile, rows_profile, "slices={slices}");
+        let halfpel = batched_profile
+            .iter()
+            .find(|(name, _, _)| *name == "me.halfpel")
+            .map(|(_, c, _)| c.loads);
+        assert!(
+            halfpel > Some(0),
+            "slices={slices}: no half-pel loads attributed"
+        );
+    }
 }

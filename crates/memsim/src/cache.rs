@@ -202,12 +202,34 @@ impl Cache {
         }
     }
 
-    /// Accounts a hit that the owning hierarchy's MRU filter resolved
-    /// without probing: the line is already the most recently used in its
-    /// set, so skipping the recency restamp is the identity transition.
-    /// Only the hit statistic needs to advance.
-    pub(crate) fn filtered_hit(&mut self) {
-        self.stats.hits += 1;
+    /// Accounts `n` hits that the owning hierarchy resolved without
+    /// probing: repeat touches its MRU filter skipped (the line is
+    /// already the most recently used in its set, so skipping the
+    /// recency restamp is the identity transition) or the non-first
+    /// touches of a load batch. Only the hit statistic advances.
+    pub(crate) fn filtered_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
+    /// Makes the resident line containing `addr` the most recently used
+    /// in its set, without counting a probe: the recency half of a hit.
+    /// Load batches replay their last touches through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not resident.
+    pub(crate) fn restamp(&mut self, addr: u64) {
+        let line_no = addr >> self.line_shift;
+        let set = (line_no & self.set_mask) as usize;
+        let tag = line_no >> self.sets.trailing_zeros();
+        let base = set * self.config.assoc;
+        let i = self.lines[base..base + self.config.assoc]
+            .iter()
+            .position(|w| w.valid && w.tag == tag)
+            .expect("restamped line must be resident");
+        self.tick += 1;
+        self.lines[base + i].last_use = self.tick;
+        self.mru = Some((line_no, base + i));
     }
 
     /// `true` if the line containing `addr` is currently resident

@@ -68,6 +68,138 @@ pub struct Hierarchy {
     mru_line_dirty: bool,
     /// VPN most recently resolved through the TLB. `u64::MAX` = none.
     mru_page: u64,
+    /// Recycled bookkeeping for [`MemModel::access_loads`] batches.
+    batch: LoadBatch,
+}
+
+/// Bookkeeping for one [`MemModel::access_loads`] batch: its distinct
+/// L1 lines, each with its last touch, in first-touch order. The tables
+/// are sized from the geometry on first use and then recycled, so a
+/// batch allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct LoadBatch {
+    /// Batch generation, starting at 1. Sets stamped with an older one
+    /// hold no line of the current batch, so nothing is cleared between
+    /// batches.
+    epoch: u32,
+    /// Per L1 set: `epoch << 32 | distinct batch lines in the set`.
+    set_meta: Vec<u64>,
+    /// `assoc` slots per L1 set: `(line number, last touch)`.
+    slots: Vec<(u64, u64)>,
+    set_mask: u64,
+    assoc: usize,
+    /// Slot indices of the distinct lines, in first-touch order.
+    first_touch: Vec<u32>,
+    /// `(last touch, line number)`, sorted to replay the last touches.
+    by_last: Vec<(u64, u64)>,
+    /// `(page number, rank of its last touch)` in first-touch order.
+    pages: Vec<(u64, usize)>,
+    /// Non-empty batches charged, and how many of them fell back to the
+    /// per-span replay.
+    batches: u64,
+    fallbacks: u64,
+}
+
+impl LoadBatch {
+    /// Starts a batch for an L1 of `sets` sets of `assoc` ways.
+    fn begin(&mut self, sets: u64, assoc: usize) {
+        if self.set_meta.is_empty() {
+            self.set_meta = vec![0; sets as usize];
+            self.slots = vec![(0, 0); sets as usize * assoc];
+            self.set_mask = sets - 1;
+            self.assoc = assoc;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.set_meta.fill(0);
+            self.epoch = 1;
+        }
+        self.first_touch.clear();
+        self.batches += 1;
+    }
+
+    /// Records the line touches of `spans`, in the order the per-span
+    /// replay makes them. Returns the total `(line, page)` touch counts,
+    /// or `None` as soon as some L1 set receives more than `assoc`
+    /// distinct lines.
+    fn collect(
+        &mut self,
+        spans: &[(u64, u64)],
+        line_shift: u32,
+        page_shift: u32,
+    ) -> Option<(u64, u64)> {
+        let (mut touch, mut line_touches, mut page_touches) = (0u64, 0u64, 0u64);
+        for &(addr, len) in spans {
+            let last = addr.saturating_add(len.max(1) - 1);
+            let (mut line, last_line) = (addr >> line_shift, last >> line_shift);
+            line_touches += last_line - line + 1;
+            page_touches += (last >> page_shift) - (addr >> page_shift) + 1;
+            loop {
+                touch += 1;
+                self.touch_line(line, touch)?;
+                if line == last_line {
+                    break;
+                }
+                line += 1;
+            }
+        }
+        Some((line_touches, page_touches))
+    }
+
+    #[inline]
+    fn touch_line(&mut self, line: u64, touch: u64) -> Option<()> {
+        let set = (line & self.set_mask) as usize;
+        let meta = self.set_meta[set];
+        let n = if (meta >> 32) as u32 == self.epoch {
+            meta as u32 as usize
+        } else {
+            0
+        };
+        let base = set * self.assoc;
+        let slots = &mut self.slots[base..base + self.assoc];
+        if let Some(slot) = slots[..n].iter_mut().find(|s| s.0 == line) {
+            slot.1 = touch;
+            return Some(());
+        }
+        if n == self.assoc {
+            return None;
+        }
+        slots[n] = (line, touch);
+        self.set_meta[set] = (u64::from(self.epoch) << 32) | (n as u64 + 1);
+        self.first_touch.push((base + n) as u32);
+        Some(())
+    }
+
+    /// Derives the batch's distinct pages from its lines — a span
+    /// touches a page exactly when it touches one of the page's lines,
+    /// and a line lies in one page — in first-touch order, and sorts the
+    /// lines by last touch. Returns `false` when the batch has as many
+    /// distinct pages as the TLB has entries.
+    fn order(&mut self, line_to_page: u32, tlb_entries: usize) -> bool {
+        self.pages.clear();
+        for &i in &self.first_touch {
+            let page = self.slots[i as usize].0 >> line_to_page;
+            if !self.pages.iter().any(|&(p, _)| p == page) {
+                if self.pages.len() + 1 >= tlb_entries {
+                    return false;
+                }
+                self.pages.push((page, 0));
+            }
+        }
+        self.by_last.clear();
+        for &i in &self.first_touch {
+            let (line, last) = self.slots[i as usize];
+            self.by_last.push((last, line));
+        }
+        self.by_last.sort_unstable();
+        for (rank, &(_, line)) in self.by_last.iter().enumerate() {
+            let page = line >> line_to_page;
+            if let Some(p) = self.pages.iter_mut().find(|p| p.0 == page) {
+                p.1 = rank;
+            }
+        }
+        true
+    }
 }
 
 impl Hierarchy {
@@ -90,6 +222,7 @@ impl Hierarchy {
             mru_line: u64::MAX,
             mru_line_dirty: false,
             mru_page: u64::MAX,
+            batch: LoadBatch::default(),
             machine,
         }
     }
@@ -168,6 +301,17 @@ impl Hierarchy {
     /// DRAM traffic accounting.
     pub fn dram(&self) -> &DramModel {
         &self.dram
+    }
+
+    /// The L1 data cache (its [`crate::CacheStats`] count every probe,
+    /// including hits the charging fast paths resolve without one).
+    pub fn l1(&self) -> &Cache {
+        &self.l1
+    }
+
+    /// The data TLB.
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
     }
 
     /// Cycle breakdown under the machine's timing model.
@@ -254,8 +398,8 @@ impl Hierarchy {
             && (addr >> self.page_shift) == self.mru_page
             && (!write || self.mru_line_dirty)
         {
-            self.tlb.filtered_hit();
-            self.l1.filtered_hit();
+            self.tlb.filtered_hits(1);
+            self.l1.filtered_hits(1);
             return;
         }
         let page = self.machine.tlb.page_bytes;
@@ -281,6 +425,70 @@ impl Hierarchy {
             }
             a += line;
         }
+    }
+
+    /// TLB walks + line probes for a load batch: one probe per distinct
+    /// page and line in first-touch order, then one restamp each in
+    /// last-touch order. Loads never dirty a line, and with at most
+    /// `assoc` distinct batch lines per L1 set (and fewer distinct pages
+    /// than TLB entries) no batch line is evicted before the batch ends,
+    /// so every miss, victim and writeback of the per-span replay falls
+    /// on a first touch; DESIGN.md §11 gives the full argument. Returns
+    /// `false`, having changed nothing, when that precondition fails.
+    fn charge_batch(&mut self, spans: &[(u64, u64)]) -> bool {
+        if self.page_shift < self.l1_shift {
+            return false; // a line would straddle pages
+        }
+        self.batch
+            .begin(self.l1.config().sets(), self.machine.l1.assoc);
+        let Some((line_touches, page_touches)) =
+            self.batch.collect(spans, self.l1_shift, self.page_shift)
+        else {
+            return false;
+        };
+        if !self
+            .batch
+            .order(self.page_shift - self.l1_shift, self.machine.tlb.entries)
+        {
+            return false;
+        }
+        // First touches, in first-touch order.
+        for i in 0..self.batch.pages.len() {
+            if !self.tlb.lookup(self.batch.pages[i].0 << self.page_shift) {
+                self.counters.tlb_misses += 1;
+            }
+        }
+        for i in 0..self.batch.first_touch.len() {
+            let line = self.batch.slots[self.batch.first_touch[i] as usize].0;
+            self.probe_line(line << self.l1_shift, false, true);
+        }
+        // Last touches, in last-touch order.
+        self.batch.pages.sort_unstable_by_key(|&(_, rank)| rank);
+        for &(page, _) in &self.batch.pages {
+            self.tlb.restamp(page << self.page_shift);
+        }
+        for &(_, line) in &self.batch.by_last {
+            self.l1.restamp(line << self.l1_shift);
+        }
+        // Every other touch is a hit.
+        self.tlb
+            .filtered_hits(page_touches - self.batch.pages.len() as u64);
+        self.l1
+            .filtered_hits(line_touches - self.batch.first_touch.len() as u64);
+        // The restamps moved recency behind the MRU filter's back.
+        self.mru_line = u64::MAX;
+        self.mru_line_dirty = false;
+        self.mru_page = u64::MAX;
+        true
+    }
+
+    /// `(batches, fallbacks)`: the non-empty [`MemModel::access_loads`]
+    /// batches charged so far, and how many of them broke the
+    /// precondition and were replayed span by span. Diagnostic only;
+    /// neither path changes a counter.
+    #[doc(hidden)]
+    pub fn load_batch_stats(&self) -> (u64, u64) {
+        (self.batch.batches, self.batch.fallbacks)
     }
 }
 
@@ -321,6 +529,22 @@ impl MemModel for Hierarchy {
             self.charge_span(a, row_bytes, write);
             if r + 1 < rows {
                 a = a.saturating_add(stride);
+            }
+        }
+    }
+
+    fn access_loads(&mut self, spans: &[(u64, u64)]) {
+        if spans.is_empty() {
+            return;
+        }
+        for &(_, len) in spans {
+            self.counters.loads += len;
+            self.counters.bytes_accessed += len.max(1);
+        }
+        if !self.charge_batch(spans) {
+            self.batch.fallbacks += 1;
+            for &(addr, len) in spans {
+                self.charge_span(addr, len, false);
             }
         }
     }
@@ -580,6 +804,66 @@ mod tests {
         run(&mut fast, &mut naive);
         assert_eq!(fast.counters(), naive.counters());
         assert_eq!(fast.dram().bytes_total(), naive.dram().bytes_total());
+    }
+
+    /// Drives `fast` with `spans` as one load batch and `naive` span by
+    /// span, then requires the models to agree now and after a probe
+    /// stream that sweeps the batch's sets (so the LRU order left
+    /// behind must agree too).
+    fn assert_batch_matches_naive(
+        fast: &mut Hierarchy,
+        naive: &mut crate::naive::NaiveHierarchy,
+        spans: &[(u64, u64)],
+    ) {
+        fast.access_loads(spans);
+        for &(a, l) in spans {
+            naive.access_range(a, l, AccessKind::Load, l);
+        }
+        assert_eq!(fast.counters(), naive.counters());
+        for a in (0x8000..0x8000 + 2048u64).step_by(32) {
+            fast.access_range(a, 8, AccessKind::Load, 1);
+            naive.access_range(a, 8, AccessKind::Load, 1);
+        }
+        for &(a, l) in spans.iter().rev() {
+            fast.access_range(a, l, AccessKind::Store, 1);
+            naive.access_range(a, l, AccessKind::Store, 1);
+        }
+        assert_eq!(fast.counters(), naive.counters());
+        assert_eq!(fast.dram().bytes_total(), naive.dram().bytes_total());
+        assert_eq!(fast.tlb().lookups(), naive.tlb().lookups());
+        assert_eq!(fast.l1().stats(), naive.l1().stats());
+    }
+
+    /// A batch with at most `assoc` lines per set takes the first-touch
+    /// reduction and still matches the per-span replay exactly.
+    #[test]
+    fn conflict_free_load_batch_takes_the_fast_path() {
+        let mut fast = Hierarchy::new(small_machine());
+        let mut naive = crate::naive::NaiveHierarchy::new(small_machine());
+        // Warm a dirty line the batch re-reads and one it evicts.
+        for m in [&mut fast as &mut dyn MemModel, &mut naive] {
+            m.access_range(0x40, 8, AccessKind::Store, 1);
+            m.access_range(0x440, 8, AccessKind::Store, 1);
+        }
+        // Alternating current/reference rows, like a SAD candidate:
+        // two lines per set at most (0x40 and 0x840 share set 2).
+        let spans: Vec<(u64, u64)> = (0..6u64)
+            .flat_map(|r| [(0x40 + (r % 2) * 16, 16), (0x840 + r * 4, 16)])
+            .collect();
+        assert_batch_matches_naive(&mut fast, &mut naive, &spans);
+        assert_eq!(fast.load_batch_stats(), (1, 0));
+    }
+
+    /// Three lines of one 2-way set in a batch break the precondition:
+    /// the batch falls back to the per-span replay.
+    #[test]
+    fn over_assoc_load_batch_falls_back() {
+        let mut fast = Hierarchy::new(small_machine());
+        let mut naive = crate::naive::NaiveHierarchy::new(small_machine());
+        // 0x100, 0x500 and 0x900 all map to L1 set 8.
+        let spans = [(0x100, 8), (0x500, 8), (0x100, 8), (0x900, 8), (0x100, 8)];
+        assert_batch_matches_naive(&mut fast, &mut naive, &spans);
+        assert_eq!(fast.load_batch_stats(), (1, 1));
     }
 
     #[test]

@@ -56,6 +56,31 @@ pub trait MemModel {
         }
     }
 
+    /// Reports a batch of loads: each `(addr, len)` span is `len`
+    /// architectural loads of the bytes at `addr`.
+    ///
+    /// The charge stream is defined to be identical to issuing
+    /// `access_range(addr, len, AccessKind::Load, len)` once per span in
+    /// order, which is what this default does; implementations may only
+    /// restructure it in ways that preserve every counter bit-for-bit.
+    /// Motion search charges a macroblock's whole reference stream this
+    /// way so the simulator can work per distinct line instead of per
+    /// row.
+    fn access_loads(&mut self, spans: &[(u64, u64)]) {
+        for &(addr, len) in spans {
+            self.access_range(addr, len, AccessKind::Load, len);
+        }
+    }
+
+    /// Whether callers should build charge batches (such as the spans
+    /// for [`MemModel::access_loads`]). When `false` they charge each
+    /// access as they go, which is the same charge stream. [`NullModel`]
+    /// discards every charge and returns `false`, so the batch
+    /// bookkeeping compiles away.
+    fn wants_batches(&self) -> bool {
+        true
+    }
+
     /// Issues a software prefetch for the line containing `addr`.
     fn prefetch(&mut self, addr: u64);
 
@@ -141,6 +166,13 @@ impl MemModel for NullModel {
     ) {
     }
 
+    fn access_loads(&mut self, _spans: &[(u64, u64)]) {}
+
+    #[inline]
+    fn wants_batches(&self) -> bool {
+        false
+    }
+
     fn prefetch(&mut self, _addr: u64) {}
 
     fn add_ops(&mut self, _ops: u64) {}
@@ -167,9 +199,11 @@ mod tests {
         let mut m = NullModel::new();
         m.access_range(0, 1024, AccessKind::Store, 128);
         m.access_rect(0, 64, 16, 16, AccessKind::Load, 16);
+        m.access_loads(&[(0, 16), (720, 16)]);
         m.prefetch(64);
         m.add_ops(1_000_000);
         assert_eq!(*m.counters(), Counters::default());
+        assert!(!m.wants_batches());
     }
 
     /// The default `access_rect` must be indistinguishable from the

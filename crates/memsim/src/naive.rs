@@ -3,9 +3,9 @@
 //! [`NaiveHierarchy`] models exactly the same machine as
 //! [`Hierarchy`](crate::Hierarchy) but takes none of its fast paths: no
 //! hierarchy-level MRU filter, no cache-way memo, no TLB-slot memo, and
-//! only the default per-row [`MemModel::access_rect`]. Every access runs
-//! the full set scan and the full linear TLB scan, re-proving residency
-//! the slow way.
+//! only the default per-row [`MemModel::access_rect`] and per-span
+//! [`MemModel::access_loads`]. Every access runs the full set scan and
+//! the full linear TLB scan, re-proving residency the slow way.
 //!
 //! It exists as the differential baseline for the fast paths: the
 //! `fastpath_equiv` suite drives both models with identical reference
@@ -118,6 +118,17 @@ impl NaiveHierarchy {
     /// DRAM traffic accounting.
     pub fn dram(&self) -> &DramModel {
         &self.dram
+    }
+
+    /// The L1 data cache (its [`crate::CacheStats`] count every probe,
+    /// including hits the charging fast paths resolve without one).
+    pub fn l1(&self) -> &Cache {
+        &self.l1
+    }
+
+    /// The data TLB.
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
     }
 
     /// The machine this hierarchy models.

@@ -131,12 +131,33 @@ impl Tlb {
         found.is_some()
     }
 
-    /// Accounts a lookup the owning hierarchy's MRU filter resolved
-    /// without scanning: the page is already the most recently used
-    /// entry, so skipping the recency restamp is the identity
-    /// transition. Only the lookup tally advances.
-    pub(crate) fn filtered_hit(&mut self) {
-        self.lookups += 1;
+    /// Accounts `n` lookups the owning hierarchy resolved without
+    /// scanning: repeat touches its MRU filter skipped (the page is
+    /// already the most recently used entry, so skipping the recency
+    /// restamp is the identity transition) or the non-first touches of a
+    /// load batch. Only the lookup tally advances.
+    pub(crate) fn filtered_hits(&mut self, n: u64) {
+        self.lookups += n;
+    }
+
+    /// Makes the resident page containing `addr` the most recently used
+    /// entry, without counting a lookup. Load batches replay their last
+    /// touches through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is not resident.
+    pub(crate) fn restamp(&mut self, addr: u64) {
+        let vpn = addr >> self.page_shift;
+        self.tick += 1;
+        let stamp = self
+            .entries
+            .iter_mut()
+            .flatten()
+            .find(|(page, _)| *page == vpn)
+            .map(|(_, stamp)| stamp)
+            .expect("restamped page must be resident");
+        *stamp = self.tick;
     }
 
     /// Total lookups performed.

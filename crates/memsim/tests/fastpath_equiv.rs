@@ -1,14 +1,15 @@
 //! Differential property suite: the fast-path [`Hierarchy`] (MRU line
-//! filter, cache-way memo, TLB-slot memo, optimized `access_rect`)
-//! against the un-memoized [`NaiveHierarchy`] reference.
+//! filter, cache-way memo, TLB-slot memo, optimized `access_rect`,
+//! first-touch `access_loads` batches) against the un-memoized
+//! [`NaiveHierarchy`] reference.
 //!
 //! Every test drives both models with an identical reference stream and
 //! requires *every* [`Counters`] field, the DRAM read/write traffic,
 //! and the per-region miss attribution to be bit-identical. The streams
 //! are chosen to hammer the fast paths where they could diverge:
 //! same-line repeats, store-after-load dirtiness, set-conflict
-//! evictions, page alternation, prefetch interleaving, and rectangular
-//! charging.
+//! evictions, page alternation, prefetch interleaving, rectangular
+//! charging, and load batches on both sides of the batch precondition.
 
 use m4ps_memsim::{
     AccessKind, Counters, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
@@ -16,25 +17,28 @@ use m4ps_memsim::{
 use m4ps_testkit::prop::{check, Config};
 use m4ps_testkit::prop_assert_eq;
 use m4ps_testkit::rng::Rng;
+use std::cell::Cell;
 
 /// One operation of a generated reference stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Op {
     Range(u64, u64, AccessKind, u64),
     Rect(u64, u64, u64, u64, AccessKind, u64),
     Prefetch(u64),
     PrefetchPair(u64),
     Ops(u64),
+    LoadBatch(Vec<(u64, u64)>),
 }
 
 fn apply<M: MemModel>(m: &mut M, ops: &[Op]) {
-    for &op in ops {
-        match op {
+    for op in ops {
+        match *op {
             Op::Range(a, l, k, n) => m.access_range(a, l, k, n),
             Op::Rect(a, s, r, w, k, n) => m.access_rect(a, s, r, w, k, n),
             Op::Prefetch(a) => m.prefetch(a),
             Op::PrefetchPair(a) => m.prefetch_pair(a),
             Op::Ops(n) => m.add_ops(n),
+            Op::LoadBatch(ref spans) => m.access_loads(spans),
         }
     }
 }
@@ -101,10 +105,82 @@ fn gen_stream(rng: &mut Rng) -> Vec<Op> {
     ops
 }
 
+/// Generates the span stream of a few SAD-like candidate searches:
+/// current-block rows alternating with displaced reference rows. Short
+/// runs in a spread-out layout keep within the batch precondition on
+/// the small machine; long runs, and strides that fold every row onto
+/// one set, break it. Zero-length spans are mixed in (they touch one
+/// byte's line, as in `access_range`).
+fn gen_batch(rng: &mut Rng) -> Vec<(u64, u64)> {
+    let cur = 0x1000 * u64::from(rng.gen_range(0u32..64)) + u64::from(rng.gen_range(0u32..32));
+    let reference =
+        0x1000 * u64::from(rng.gen_range(0u32..64)) + u64::from(rng.gen_range(0u32..32));
+    let stride = *rng.choose(&[64u64, 208, 512, 752, 1024, 0x4000]);
+    let width = *rng.choose(&[8u64, 16, 17, 40]);
+    let max_rows = *rng.choose(&[3u32, 17]);
+    let mut spans = Vec::new();
+    for _ in 0..rng.gen_range(1u32..6) {
+        let (dx, dy) = (
+            u64::from(rng.gen_range(0u32..5)),
+            u64::from(rng.gen_range(0u32..5)),
+        );
+        let ref_first = rng.gen_bool();
+        for r in 0..u64::from(rng.gen_range(1u32..max_rows)) {
+            let rows = [
+                (cur + r * stride, width),
+                (reference + (dy + r) * stride + dx, width),
+            ];
+            if ref_first {
+                spans.extend(rows.iter().rev());
+            } else {
+                spans.extend(rows);
+            }
+        }
+        if rng.gen_range(0u32..8) == 0 {
+            spans.push((reference + dx, 0));
+        }
+    }
+    spans
+}
+
+/// A stream of load batches, each followed by a verification stream:
+/// loads of fresh pages (evicting the least recently used TLB entries),
+/// then the batch's spans re-touched in reverse as stores, interleaved
+/// with loads that conflict with them in the L1 and L2. What those miss,
+/// evict and write back depends on the recency order and residency the
+/// batch left behind in all three structures.
+fn gen_batch_stream(rng: &mut Rng) -> Vec<Op> {
+    let mut ops = gen_stream(rng);
+    for _ in 0..rng.gen_range(1u32..5) {
+        let spans = gen_batch(rng);
+        let fresh_pages = u64::from(rng.gen_range(0u32..4));
+        let mut verify: Vec<Op> = (0..fresh_pages)
+            .map(|p| Op::Range(0x100_0000 + p * 0x4000, 8, AccessKind::Load, 1))
+            .collect();
+        verify.extend(spans.iter().rev().step_by(3).flat_map(|&(a, l)| {
+            [
+                Op::Range(a, l, AccessKind::Store, 1),
+                Op::Range(a + 1024, 8, AccessKind::Load, 1),
+                Op::Range(a + 8192, 8, AccessKind::Load, 1),
+            ]
+        }));
+        ops.push(Op::LoadBatch(spans));
+        ops.extend(verify);
+        ops.extend(gen_stream(rng).into_iter().take(10));
+    }
+    ops
+}
+
 /// Asserts full observable equality between the two models.
 #[track_caller]
 fn assert_models_equal(fast: &Hierarchy, naive: &NaiveHierarchy) {
     assert_eq!(fast.counters(), naive.counters(), "Counters diverged");
+    assert_eq!(
+        fast.tlb().lookups(),
+        naive.tlb().lookups(),
+        "TLB lookups diverged"
+    );
+    assert_eq!(fast.l1().stats(), naive.l1().stats(), "L1 stats diverged");
     assert_eq!(
         fast.dram().bytes_read(),
         naive.dram().bytes_read(),
@@ -218,6 +294,36 @@ fn pinned_adversarial_sequences() {
                 Op::Range(page + (i as u64 % 13) * 8, 8, AccessKind::Load, 1)
             })
             .collect(),
+        // A batch re-reading a dirty MRU line must leave it dirty, and
+        // the filter must not trust the line it pointed at before.
+        vec![
+            Op::Range(0x100, 8, AccessKind::Store, 1),
+            Op::LoadBatch(vec![(0x100, 8), (0x500, 16), (0x100, 8)]),
+            Op::Range(0x108, 8, AccessKind::Store, 1),
+            Op::Range(0x900, 8, AccessKind::Load, 1),
+            Op::Range(0xd00, 8, AccessKind::Load, 1),
+        ],
+        // Spans straddling lines and a page boundary, plus zero-length
+        // spans, inside one batch.
+        vec![Op::LoadBatch(vec![
+            (0x3ff0, 32),
+            (0x3ffe, 0),
+            (0x401e, 4),
+            (0x3ff0, 32),
+        ])],
+        // As many pages as the TLB has entries: falls back.
+        vec![Op::LoadBatch(
+            (0..4u64).map(|p| (p * 0x4000 + 0x40, 8)).collect(),
+        )],
+        // Three lines of one 2-way set: falls back.
+        vec![Op::LoadBatch(vec![
+            (0x40, 8),
+            (0x440, 8),
+            (0x840, 8),
+            (0x40, 8),
+        ])],
+        // An empty batch charges nothing.
+        vec![Op::LoadBatch(Vec::new()), Op::Ops(1)],
     ];
     for (i, script) in scripts.iter().enumerate() {
         let mut fast = Hierarchy::new(small_machine());
@@ -300,5 +406,60 @@ fn access_rect_equals_row_loop_on_fast_model() {
             prop_assert_eq!(by_rect.counters(), by_rows.counters());
             Ok(())
         },
+    );
+}
+
+/// Load batches against the per-span replay on the small machine (whose
+/// 16-set L1 and 4-entry TLB put both sides of the batch precondition
+/// within reach) and on the O2, with region attribution attached. Every
+/// observable must agree after each stream, and across the run both
+/// the first-touch path and the fallback must have been taken.
+#[test]
+fn load_batches_are_counter_identical() {
+    let regions = [
+        Region {
+            tag: "cur".into(),
+            base: 0,
+            bytes: 128 * 1024,
+        },
+        Region {
+            tag: "ref".into(),
+            base: 128 * 1024,
+            bytes: 128 * 1024,
+        },
+    ];
+    let small_paths = Cell::new((0u64, 0u64));
+    check(
+        "fastpath/load_batches",
+        &Config::default(),
+        gen_batch_stream,
+        |ops| {
+            for (i, machine) in [small_machine(), MachineSpec::o2()].into_iter().enumerate() {
+                let mut fast = Hierarchy::new(machine.clone());
+                let mut naive = NaiveHierarchy::new(machine);
+                fast.attach_regions(&regions);
+                naive.attach_regions(&regions);
+                apply(&mut fast, ops);
+                apply(&mut naive, ops);
+                prop_assert_eq!(fast.counters(), naive.counters());
+                prop_assert_eq!(fast.dram().bytes_read(), naive.dram().bytes_read());
+                prop_assert_eq!(fast.dram().bytes_written(), naive.dram().bytes_written());
+                prop_assert_eq!(fast.region_misses(), naive.region_misses());
+                prop_assert_eq!(fast.tlb().lookups(), naive.tlb().lookups());
+                prop_assert_eq!(fast.l1().stats(), naive.l1().stats());
+                if i == 0 {
+                    let (batches, fallbacks) = fast.load_batch_stats();
+                    let (b, f) = small_paths.get();
+                    small_paths.set((b + batches, f + fallbacks));
+                }
+            }
+            Ok(())
+        },
+    );
+    let (batches, fallbacks) = small_paths.get();
+    assert!(fallbacks > 0, "no batch fell back ({batches} batches)");
+    assert!(
+        fallbacks < batches,
+        "no batch took the first-touch path ({batches} batches)"
     );
 }

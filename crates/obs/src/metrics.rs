@@ -184,11 +184,12 @@ impl HistogramSnapshot {
     }
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by linear
-    /// interpolation inside the log₂ bucket holding the target rank.
-    /// Returns 0 for an empty snapshot. The estimate is exact at
-    /// bucket boundaries and within one bucket's width otherwise;
-    /// values beyond the last bucket saturate at its upper edge
-    /// (`2^31 - 1`, ~2.1 s when recording nanoseconds).
+    /// interpolation inside the log₂ bucket holding the target rank,
+    /// never above the exact `max`. Returns 0 for an empty snapshot.
+    /// The estimate is exact at bucket boundaries and within one
+    /// bucket's width otherwise; values beyond the last bucket saturate
+    /// at its upper edge (`2^31 - 1`, ~2.1 s when recording
+    /// nanoseconds).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -205,13 +206,15 @@ impl HistogramSnapshot {
                 let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
                 let hi = if i == 0 { 0 } else { (1u64 << i) - 1 };
                 let into = (rank - seen) as f64 / n as f64;
-                return lo + ((hi - lo) as f64 * into) as u64;
+                // A sparse top bucket interpolates toward its upper
+                // edge, which can lie far above the largest value seen.
+                return (lo + ((hi - lo) as f64 * into) as u64).min(self.max);
             }
             seen += n;
         }
         // Unreachable when count == sum of buckets; be defensive for
         // torn concurrent reads.
-        (1u64 << (HIST_BUCKETS - 1)) - 1
+        ((1u64 << (HIST_BUCKETS - 1)) - 1).min(self.max)
     }
 
     /// Median estimate.
@@ -608,6 +611,34 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert!((32..=63).contains(&s.quantile(q)), "q={q}");
         }
+    }
+
+    /// A sparse top bucket must not report a quantile above the
+    /// recorded maximum: one sample of 762 ms sits in the bucket
+    /// `[2^29, 2^30)` ns, and p99 of 61 samples is that sample, whose
+    /// interpolation lands on the bucket's top edge, over 1 s.
+    #[test]
+    fn quantiles_never_exceed_max() {
+        let h = Histogram::new();
+        for _ in 0..60 {
+            h.record(1_000_000); // 1 ms
+        }
+        h.record(762_100_000); // one 762.1 ms outlier
+        let s = h.snapshot();
+        assert_eq!(s.p99(), 762_100_000);
+        assert_eq!(s.p999(), 762_100_000);
+        assert_eq!(s.quantile(1.0), s.max);
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert!(s.quantile(q) <= s.max, "q={q}");
+        }
+        // Below the top bucket nothing changes.
+        assert!((524_288..=1_048_575).contains(&s.p50()));
+        // A windowed delta carries the lifetime max as its bound.
+        let before = h.snapshot();
+        h.record(3);
+        let d = h.snapshot().delta_since(&before);
+        assert!(d.p99() <= d.max);
+        assert!((2..=3).contains(&d.p99()));
     }
 
     #[test]

@@ -91,7 +91,11 @@ run_bench() {
 }
 
 run_bench
-if [[ -n "$baseline" && "${M4PS_BENCH_SKIP_COMPARE:-0}" != "1" ]]; then
+if [[ -z "$baseline" ]]; then
+    echo "== bench regression gate: SKIPPED (no BENCH_smoke.json baseline) =="
+elif [[ "${M4PS_BENCH_SKIP_COMPARE:-0}" == "1" ]]; then
+    echo "== bench regression gate: SKIPPED (M4PS_BENCH_SKIP_COMPARE=1) =="
+else
     # Wall-clock medians on shared/1-core runners can swing well past
     # the gate threshold from scheduler interference alone, so a gate
     # failure earns one fresh re-measure before it is believed: noise
