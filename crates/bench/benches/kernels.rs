@@ -409,12 +409,9 @@ fn bench_parallel_decode(r: &mut BenchRunner) {
     use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
     // The decode mirror of `bench_parallel`: one PAL P-VOP, 4 slices,
-    // re-decoded from a fixed bit position at each worker count.
-    // threads=seq is the legacy no-pool decoder (the pre-prescan code
-    // path); threads=1 is the slice-parallel construction on a single
-    // worker, so the seq -> 1 delta is the pure cost of the pre-scan,
-    // model forks and pool dispatch, and 1 -> 4 is the scaling win.
-    // The reconstruction is bit-identical across all four entries.
+    // re-decoded from a fixed bit position at each worker count, so
+    // 1 -> 4 is the scaling win. The reconstruction is bit-identical
+    // across all entries.
     let res = Resolution::PAL;
     let scene = Scene::new(SceneSpec {
         resolution: res,
@@ -453,22 +450,17 @@ fn bench_parallel_decode(r: &mut BenchRunner) {
         stream
     };
     let bytes = (res.width * res.height * 3 / 2) as u64;
-    for threads in [0usize, 1, 2, 4] {
+    for threads in [1usize, 2, 4] {
         let mut space = AddressSpace::new();
         let mut mem = NullModel::new();
         let mut reader = BitReader::new(&stream);
         let mut dec = VideoObjectDecoder::from_stream(&mut space, &mut mem, &mut reader).unwrap();
-        dec.set_threads(threads); // 0 = legacy sequential path
-                                  // Prime the anchor so every measured decode is the P-VOP.
+        dec.set_threads(threads);
+        // Prime the anchor so every measured decode is the P-VOP.
         dec.decode_next(&mut mem, &mut reader).unwrap().unwrap();
         let pos = reader.bit_pos();
-        let label = if threads == 0 {
-            "seq".to_string()
-        } else {
-            threads.to_string()
-        };
         r.bench_bytes(
-            &format!("parallel/decode_frame/threads={label}"),
+            &format!("parallel/decode_frame/threads={threads}"),
             bytes,
             || {
                 let mut rr = BitReader::new(&stream);

@@ -157,6 +157,19 @@ impl<'a> BitReader<'a> {
         self.pos = bit;
     }
 
+    /// A clone that sees the stream only up to absolute bit `end`
+    /// (rounded down to a byte, clamped to the stream, and never before
+    /// the cursor): reads and scans past it behave as at end of stream.
+    /// The slice-parallel decoder uses this to keep each slice's reads
+    /// and recovery scans inside its own segment.
+    pub fn bounded(&self, end: u64) -> Self {
+        let end = ((end / 8) as usize).clamp(self.pos.div_ceil(8) as usize, self.bytes.len());
+        BitReader {
+            bytes: &self.bytes[..end],
+            pos: self.pos,
+        }
+    }
+
     /// Consumes MPEG-4 stuffing (`0` then `1`s) up to the byte boundary,
     /// if the upcoming bits look like stuffing; otherwise just aligns.
     pub fn skip_stuffing(&mut self) {

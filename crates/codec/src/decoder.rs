@@ -7,7 +7,7 @@ use crate::encoder::{
     VopStats, RESYNC_MARKER, SLICE_CHARGE_SPAN,
 };
 use crate::error::CodecError;
-use crate::header::{VolHeader, VopHeader};
+use crate::header::{VolHeader, VopHeader, MAX_DIMENSION};
 use crate::mbops::{
     chroma_mv, write_block, write_block_u8, IntraPredState, MvPredictor, StreamCharge,
 };
@@ -81,22 +81,17 @@ pub struct VideoObjectDecoder {
     /// Accumulated counter deltas over the VOP-decode windows — the
     /// paper's `DecodeVopCombMotionShapeTexture()` instrumentation.
     vop_window: m4ps_memsim::Counters,
-    /// Worker pool for slice-parallel decode. `None` (and a zero
-    /// `threads_hint`) keeps the legacy sequential path — parallel
-    /// decode is strictly opt-in via [`VideoObjectDecoder::set_pool`] /
-    /// [`VideoObjectDecoder::set_threads`] so existing sequential
-    /// counter pins stay byte-for-byte unchanged.
+    /// Worker pool multi-slice VOPs decode on, attached via
+    /// [`VideoObjectDecoder::set_pool`] or created lazily on the first
+    /// multi-slice VOP. Single-slice VOPs never touch it.
     pool: Option<Arc<WorkerPool>>,
-    /// Thread count for a lazily created pool; 0 = sequential decode.
+    /// Thread count for a lazily created pool; 0 = one worker on the
+    /// caller.
     threads_hint: usize,
     sched: Scheduling,
     /// Reusable per-slice decode state (texture scratch clones and MV
     /// predictors), grown on first use and recycled every VOP.
     slice_scratch: Vec<SliceScratch>,
-    /// VOPs where the parallel attempt was abandoned and the VOP was
-    /// re-decoded sequentially (pre-scan miss, slice error, or slice
-    /// boundary mismatch — corrupt streams, mostly).
-    parallel_fallbacks: u64,
 }
 
 impl VideoObjectDecoder {
@@ -121,11 +116,16 @@ impl VideoObjectDecoder {
     /// # Errors
     ///
     /// Returns [`CodecError::InvalidStream`] for non-MB-aligned
-    /// dimensions.
+    /// dimensions or dimensions above [`MAX_DIMENSION`].
     pub fn with_vol(space: &mut AddressSpace, vol: VolHeader) -> Result<Self, CodecError> {
         if !vol.width.is_multiple_of(16) || !vol.height.is_multiple_of(16) {
             return Err(CodecError::InvalidStream(
                 "VOL dimensions must be multiples of 16",
+            ));
+        }
+        if vol.width > MAX_DIMENSION || vol.height > MAX_DIMENSION {
+            return Err(CodecError::InvalidStream(
+                "VOL dimensions exceed MAX_DIMENSION",
             ));
         }
         space.set_tag("dec.reference_frames");
@@ -162,14 +162,13 @@ impl VideoObjectDecoder {
             threads_hint: 0,
             sched: Scheduling::from_env(),
             slice_scratch: Vec::new(),
-            parallel_fallbacks: 0,
             vol,
         })
     }
 
-    /// Shares a persistent worker pool with this decoder and enables
-    /// slice-parallel decode for multi-slice VOPs. Reconstruction and
-    /// merged counters are bit-identical at any thread count: the slice
+    /// Shares a persistent worker pool with this decoder; multi-slice
+    /// VOPs decode their slices on it. Reconstruction, stats and merged
+    /// counters are bit-identical at any thread count: the slice
     /// partition, per-slice forks and charge windows depend only on the
     /// bitstream's slice count, never on which thread runs a slice.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
@@ -177,9 +176,9 @@ impl VideoObjectDecoder {
         self.pool = Some(pool);
     }
 
-    /// Enables slice-parallel decode on a lazily created `threads`-wide
-    /// pool (0 restores the sequential path). Purely a scheduling knob:
-    /// output is bit-identical across thread counts.
+    /// Decodes multi-slice VOPs on a lazily created `threads`-wide pool
+    /// (0 = one worker: every slice runs inline on the caller). Purely a
+    /// scheduling knob: output is bit-identical across thread counts.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.min(256);
         self.threads_hint = threads;
@@ -196,31 +195,13 @@ impl VideoObjectDecoder {
         self.sched = sched;
     }
 
-    /// The worker thread count slices are decoded on (0 = sequential).
+    /// The worker thread count slices are decoded on (0 = one worker on
+    /// the caller).
     pub fn threads(&self) -> usize {
         match (&self.pool, self.threads_hint) {
             (Some(p), _) => p.threads(),
             (None, hint) => hint,
         }
-    }
-
-    /// VOPs where the parallel attempt fell back to a sequential
-    /// re-decode (corrupt slice, unlocatable slice header, or a slice
-    /// boundary mismatch). The fallback decision is a pure function of
-    /// the bitstream, so it is identical at every thread count; the
-    /// re-decode reproduces the sequential decoder's result exactly,
-    /// concealment and all.
-    pub fn parallel_fallbacks(&self) -> u64 {
-        self.parallel_fallbacks
-    }
-
-    /// The pool to decode this VOP's slices on, creating the lazy pool
-    /// on first use. `None` = sequential decode.
-    fn parallel_pool(&mut self) -> Option<Arc<WorkerPool>> {
-        if self.pool.is_none() && self.threads_hint > 0 {
-            self.pool = Some(Arc::new(WorkerPool::new(self.threads_hint)));
-        }
-        self.pool.clone()
     }
 
     /// The VOL header of this layer.
@@ -427,80 +408,43 @@ impl VideoObjectDecoder {
             1 - self.latest
         };
 
-        let pool = self.parallel_pool();
-        let sched = self.sched;
-        let stats = if header.kind == VopKind::B {
-            let fwd = &self.anchors[1 - self.latest];
-            let bwd = &self.anchors[self.latest];
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                Some(fwd),
-                Some(bwd),
-                &mut self.b_recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
-        } else if ext_is_ref {
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                ext,
-                None,
-                &mut self.b_recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
-        } else {
-            // Anchor decode: target is the non-latest slot; a P-VOP
-            // references the latest slot.
-            let is_p = header.kind == VopKind::P;
-            let (left, right) = self.anchors.split_at_mut(1);
-            let (recon, fwd): (&mut TracedFrame, Option<&TracedFrame>) = if new_idx == 0 {
-                (&mut left[0], is_p.then_some(&right[0] as &TracedFrame))
+        let (recon, fwd, bwd): (&mut TracedFrame, Option<&TracedFrame>, Option<&TracedFrame>) =
+            if header.kind == VopKind::B {
+                let (fwd, bwd) = (&self.anchors[1 - self.latest], &self.anchors[self.latest]);
+                (&mut self.b_recon, Some(fwd), Some(bwd))
+            } else if ext_is_ref {
+                (&mut self.b_recon, ext, None)
             } else {
-                (&mut right[0], is_p.then_some(&left[0] as &TracedFrame))
+                // Anchor decode: target is the non-latest slot; a P-VOP
+                // references the latest slot.
+                let is_p = header.kind == VopKind::P;
+                let (left, right) = self.anchors.split_at_mut(1);
+                let (recon, reference) = if new_idx == 0 {
+                    (&mut left[0], &right[0])
+                } else {
+                    (&mut right[0], &left[0])
+                };
+                (recon, is_p.then_some(reference), None)
             };
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                fwd,
-                None,
-                recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
-        };
+        let stats = decode_mb_layer(
+            mem,
+            r,
+            header,
+            self.alpha.as_ref(),
+            fwd,
+            bwd,
+            recon,
+            &self.texture,
+            &mut self.slice_scratch,
+            &mut self.pool,
+            self.threads_hint,
+            self.sched,
+            &mut charge,
+            bit_start,
+            self.stream_base,
+            self.mb_cols,
+            self.mb_rows,
+        )?;
 
         if into_anchor {
             if !self.vol.binary_shape {
@@ -519,99 +463,31 @@ impl VideoObjectDecoder {
     }
 }
 
-/// Outcome of a parallel decode attempt.
-enum ParallelOutcome {
-    /// The VOP is not eligible (single slice, or a geometry error the
-    /// sequential path will report) — decode sequentially, this was
-    /// not a fallback.
-    NotSliced,
-    /// The attempt was abandoned (pre-scan miss, slice task error, or
-    /// slice boundary mismatch). The parent model and reader are
-    /// untouched; re-decode sequentially and count a fallback.
-    Fallback,
-    /// Parallel decode succeeded; the reader sits after the last
-    /// macroblock, exactly where the sequential decoder would leave it.
-    Done(VopStats),
-}
-
-/// Routes one VOP's macroblock layer to the slice-parallel path when a
-/// pool is attached and the VOP is multi-slice, falling back to the
-/// sequential decoder otherwise — or whenever the parallel attempt
-/// aborts. The fallback re-decode starts from a saved reader clone and
-/// overwrites every in-bbox macroblock, so its public result (including
-/// concealment) is exactly the sequential decoder's on every input.
-#[allow(clippy::too_many_arguments)]
-fn decode_vop_dispatch<M: ParallelModel>(
-    mem: &mut M,
-    r: &mut BitReader<'_>,
-    header: &VopHeader,
-    alpha: Option<&TracedPlane>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut TracedFrame,
-    texture: &mut TextureCoder,
-    scratch: &mut Vec<SliceScratch>,
-    fallbacks: &mut u64,
-    charge: &mut StreamCharge,
-    bit_start: u64,
-    stream_base: u64,
-    mb_cols: usize,
-    mb_rows: usize,
-    pool: Option<&WorkerPool>,
-    sched: Scheduling,
-) -> Result<VopStats, CodecError> {
-    if let Some(pool) = pool {
-        let saved = r.clone();
-        match decode_vop_parallel(
-            mem,
-            r,
-            header,
-            alpha,
-            fwd,
-            bwd,
-            recon,
-            texture,
-            scratch,
-            charge,
-            bit_start,
-            stream_base,
-            mb_cols,
-            mb_rows,
-            pool,
-            sched,
-        ) {
-            ParallelOutcome::Done(stats) => return Ok(stats),
-            ParallelOutcome::Fallback => {
-                *fallbacks += 1;
-                *r = saved;
-            }
-            ParallelOutcome::NotSliced => *r = saved,
-        }
-    }
-    decode_vop_body(
-        mem, r, header, alpha, fwd, bwd, recon, texture, charge, bit_start, mb_cols, mb_rows,
-    )
-}
-
-/// Decodes a multi-slice VOP's macroblock layer on the pool: a cheap
-/// untraced pre-scan locates every slice header (byte-aligned resync
-/// marker carrying the slice's first macroblock index), then each slice
-/// decodes as an independent task chain — cloned reader positioned at
-/// its slice start, forked memory model, recycled [`SliceScratch`],
-/// disjoint reconstruction row band, and a per-slice-index charge
-/// window at `stream_base + (s+1) * SLICE_CHARGE_SPAN` — the exact
-/// construction the parallel encoder uses, so reconstruction and
-/// merged counters are bit-identical at any thread count.
+/// Decodes one VOP's macroblock layer (after shape) — the decoder's one
+/// construction, the mirror of the encoder's `encode_vop`.
 ///
-/// The parallel path performs **no concealment**: any anomaly — a
-/// slice header the pre-scan cannot locate, a slice task error (or
-/// panic, caught at the task boundary), or a slice whose aligned end
-/// does not meet the next slice's start — abandons the whole attempt
-/// without absorbing any fork, and the caller re-decodes the VOP
-/// sequentially. Each of those triggers is a pure function of the
-/// bitstream, so the decision is identical at every thread count.
+/// A single-slice VOP (the paper configuration) decodes its rows
+/// directly on the caller's model, reader and charge window: no
+/// pre-scan, no fork. A multi-slice VOP always takes the slice-chain
+/// construction: a cheap untraced pre-scan locates every slice header
+/// (byte-aligned resync marker carrying the slice's first macroblock
+/// index), then each slice decodes as an independent task chain —
+/// reader clone bounded to its own segment (up to the next located
+/// slice header, or the VOP's closing startcode), forked memory model,
+/// recycled [`SliceScratch`], disjoint reconstruction row band, and a
+/// per-slice-index charge window at
+/// `stream_base + (s+1) * SLICE_CHARGE_SPAN`. The chains run on the
+/// attached pool, or on a lazily created one-worker pool (no background
+/// threads: every task runs inline on the caller), so reconstruction,
+/// stats and merged counters are identical at every thread count.
+///
+/// Both paths share [`decode_slice_row`], which owns the concealment
+/// state machine: a corrupt slice conceals up to its next valid resync
+/// marker, never past its own end. A slice whose header the pre-scan
+/// cannot locate is concealed whole when the VOP carries resync
+/// markers, and fails the VOP otherwise.
 #[allow(clippy::too_many_arguments)]
-fn decode_vop_parallel<M: ParallelModel>(
+fn decode_mb_layer<M: ParallelModel>(
     mem: &mut M,
     r: &mut BitReader<'_>,
     header: &VopHeader,
@@ -621,47 +497,23 @@ fn decode_vop_parallel<M: ParallelModel>(
     recon: &mut TracedFrame,
     texture: &TextureCoder,
     scratch: &mut Vec<SliceScratch>,
+    pool: &mut Option<Arc<WorkerPool>>,
+    threads: usize,
+    sched: Scheduling,
     charge: &mut StreamCharge,
     bit_start: u64,
     stream_base: u64,
     mb_cols: usize,
     mb_rows: usize,
-    pool: &WorkerPool,
-    sched: Scheduling,
-) -> ParallelOutcome {
+) -> Result<VopStats, CodecError> {
     let (mbx_range, mby_range) = match header.bbox {
-        Some((x0, y0, bw, bh)) => {
-            if x0 + bw > mb_cols * 16 || y0 + bh > mb_rows * 16 {
-                return ParallelOutcome::NotSliced;
-            }
-            (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16)
-        }
+        Some((x0, y0, bw, bh)) => (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16),
         None => (0..mb_cols, 0..mb_rows),
     };
     let slice_rows = partition_rows(mby_range.clone(), header.slices);
-    if slice_rows.len() < 2 {
-        return ParallelOutcome::NotSliced;
-    }
-
-    // Commit: consume the header segment's stuffing (slice 0 starts
-    // byte-aligned) and charge it in the parent window — the decode
-    // mirror of the encoder charging its aligned header segment.
-    r.skip_stuffing();
-    span!(
-        mem,
-        Phase::Parse,
-        charge.charge_to(mem, r.bit_pos() - bit_start)
-    );
-
-    let Some(starts) = prescan_slice_starts(r, &slice_rows, mbx_range.len(), mby_range.start)
-    else {
-        return ParallelOutcome::Fallback;
-    };
-
     while scratch.len() < slice_rows.len() {
         scratch.push(SliceScratch::new(texture, mb_cols));
     }
-
     let ctx = DecodeCtx {
         hdr: header,
         alpha,
@@ -670,89 +522,129 @@ fn decode_vop_parallel<M: ParallelModel>(
         mbx_range: mbx_range.clone(),
         n_slices: slice_rows.len(),
     };
-    let grain = sched.grain();
-    let views = recon.split_mb_rows_mut(&slice_rows);
-    let chains: Vec<DecodeChain<'_, M>> = slice_rows
-        .iter()
-        .cloned()
-        .zip(views)
-        .zip(scratch.iter_mut())
-        .enumerate()
-        .map(|(s, ((rows, view), sc))| {
-            let first_mb = (rows.start - mby_range.start) * ctx.mbx_range.len();
-            let mut sr = r.clone();
-            sr.seek_to(starts[s]);
-            DecodeChain {
-                smem: mem.fork(),
-                r: sr,
-                view,
-                scratch: sc,
-                charge: StreamCharge::reader(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
-                stats: VopStats::default(),
-                slice_index: s,
-                slice_start: starts[s],
-                next_row: rows.start,
-                first_mb,
-                mb_counter: first_mb,
-                rows,
-                grain,
-            }
-        })
-        .collect();
+    let total_mbs = mbx_range.len() * mby_range.len();
 
-    let slots = run_decode_chains(pool, &ctx, chains);
-
-    let mut outs = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot
-            .into_inner()
-            .expect("decode slot lock")
-            .expect("scope waits for every slice chain")
-        {
-            Ok(out) => outs.push(out),
-            // A corrupt slice surfaces as a clean per-slice error; the
-            // other slices completed independently. Drop every fork
-            // unabsorbed and let the sequential re-decode conceal.
-            Err(_) => return ParallelOutcome::Fallback,
+    let stats = if slice_rows.len() == 1 {
+        // Unsliced: the macroblocks follow the header bits directly.
+        let sc = &mut scratch[0];
+        sc.fwd_pred.reset();
+        sc.bwd_pred.reset();
+        let mut cur = SliceCursor::new(r.clone(), charge.clone(), bit_start, 0, total_mbs);
+        let res = mby_range
+            .clone()
+            .try_for_each(|mby| decode_slice_row(mem, recon, sc, &mut cur, &ctx, mby));
+        *r = cur.r;
+        *charge = cur.charge;
+        res?;
+        cur.stats
+    } else {
+        // Sliced: consume the header segment's stuffing (slice 0 starts
+        // byte-aligned) and charge it in the parent window — the decode
+        // mirror of the encoder charging its aligned header segment.
+        r.skip_stuffing();
+        span!(
+            mem,
+            Phase::Parse,
+            charge.charge_to(mem, r.bit_pos() - bit_start)
+        );
+        // The VOP ends at the next startcode: no slice reads or scans
+        // past it, so damage never spills into the next VOP.
+        let mut probe = r.clone();
+        let vop_end = match probe.next_start_code() {
+            Ok(_) => probe.bit_pos() - 32,
+            Err(_) => probe.total_bits(),
+        };
+        let vop = r.bounded(vop_end);
+        let starts = prescan_slice_starts(&vop, &slice_rows, mbx_range.len(), mby_range.start);
+        if header.resync_interval.is_none() && starts.contains(&None) {
+            return Err(CodecError::InvalidStream("slice header mismatch"));
         }
-    }
-    // Every slice must end, after consuming its alignment stuffing,
-    // exactly at the next slice's header. By induction this proves each
-    // task consumed precisely the bits the sequential decoder would.
-    for s in 0..outs.len() - 1 {
-        if outs[s].2 != starts[s + 1] {
-            return ParallelOutcome::Fallback;
-        }
-    }
+        let grain = sched.grain();
+        let views = recon.split_mb_rows_mut(&slice_rows);
+        let chains: Vec<DecodeChain<'_, M>> = slice_rows
+            .iter()
+            .cloned()
+            .zip(views)
+            .zip(scratch.iter_mut())
+            .enumerate()
+            .map(|(s, ((rows, view), sc))| {
+                let first_mb = (rows.start - mby_range.start) * mbx_range.len();
+                let end_mb = first_mb + rows.len() * mbx_range.len();
+                let window = StreamCharge::reader(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN);
+                let cur = match starts[s] {
+                    Some((start, payload)) => {
+                        // Bound the slice's reads and recovery scans to
+                        // its own segment: up to the next located header.
+                        let mut sr = match starts[s + 1..].iter().flatten().next() {
+                            Some(&(next, _)) => vop.bounded(next),
+                            None => vop.clone(),
+                        };
+                        sr.seek_to(payload);
+                        SliceCursor::new(sr, window, start, first_mb, end_mb)
+                    }
+                    None => {
+                        // No header: conceal the whole slice, reading
+                        // (and charging) nothing.
+                        let pos = r.bit_pos();
+                        let mut cur =
+                            SliceCursor::new(r.bounded(pos), window, pos, first_mb, end_mb);
+                        cur.conceal_until = Some(usize::MAX);
+                        cur
+                    }
+                };
+                DecodeChain {
+                    smem: mem.fork(),
+                    view,
+                    scratch: sc,
+                    cur,
+                    slice_index: s,
+                    next_row: rows.start,
+                    rows,
+                    grain,
+                }
+            })
+            .collect();
 
-    let end_pos = outs.last().expect("at least two slices").1;
-    let mut stats = VopStats::default();
-    for (sstats, _end, _aligned, smem) in outs {
-        let child_total = *smem.counters();
-        mem.absorb(smem);
-        // Keep the caller's open phase from double-counting the jump
-        // `absorb` just folded in (the slices' own domain spans carry
-        // those counters, phase by phase).
-        m4ps_obs::absorbed(&child_total);
-        stats.merge(&sstats);
-    }
-    // Leave the reader after the last macroblock — exactly where the
-    // sequential decoder stops (the next startcode scan handles the
-    // final stuffing).
-    r.seek_to(end_pos);
+        let pool = pool.get_or_insert_with(|| Arc::new(WorkerPool::new(threads)));
+        let slots = run_decode_chains(pool, &ctx, chains);
+
+        let mut stats = VopStats::default();
+        let mut end_pos = r.bit_pos();
+        for slot in slots {
+            let (sstats, end, smem) = slot
+                .into_inner()
+                .expect("decode slot lock")
+                .expect("scope waits for every slice chain")?;
+            let child_total = *smem.counters();
+            mem.absorb(smem);
+            // Keep the caller's open phase from double-counting the jump
+            // `absorb` just folded in (the slices' own domain spans carry
+            // those counters, phase by phase).
+            m4ps_obs::absorbed(&child_total);
+            stats.merge(&sstats);
+            end_pos = end_pos.max(end);
+        }
+        // Leave the reader after the furthest macroblock read (the next
+        // startcode scan handles the final stuffing).
+        r.seek_to(end_pos);
+        stats
+    };
 
     if let Some(bbox) = header.bbox {
         fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
     }
-    ParallelOutcome::Done(stats)
+    Ok(stats)
 }
 
-/// Locates every slice's byte-aligned start: slice 0 begins at the
+/// Locates every slice's byte-aligned header. Slice 0 begins at the
 /// reader's (aligned) position; slice `s > 0` begins at the first
-/// byte-aligned resync marker whose following fields parse as slice
-/// `s`'s first macroblock index. In-slice resync markers always carry
-/// a *smaller* index, so the first match is the true header unless the
-/// payload aliases one — which the slice boundary check catches.
+/// byte-aligned resync marker after the previous located header whose
+/// following fields parse as slice `s`'s first macroblock index.
+/// In-slice resync markers always carry a *smaller* index, so the first
+/// match is the true header unless the payload aliases one. Returns
+/// `(header start, payload start)` per slice, `None` where no header
+/// was found (the next slice is then searched from the last located
+/// header).
 ///
 /// The scan reads raw bytes through reader clones and charges nothing:
 /// like the encoder's slice partition it is scheduling metadata, not
@@ -763,35 +655,37 @@ fn prescan_slice_starts(
     slice_rows: &[Range<usize>],
     mbx_len: usize,
     mby_start: usize,
-) -> Option<Vec<u64>> {
+) -> Vec<Option<(u64, u64)>> {
     let mut starts = Vec::with_capacity(slice_rows.len());
-    starts.push(r.bit_pos());
-    let mut probe = r.clone();
+    starts.push(Some((r.bit_pos(), r.bit_pos())));
+    let mut from = r.clone();
     for rows in &slice_rows[1..] {
         let expected = (rows.start - mby_start) * mbx_len;
-        loop {
+        let mut probe = from.clone();
+        let found = loop {
             if !probe.scan_aligned_u16(RESYNC_MARKER) {
-                return None;
+                break None;
             }
             let mut fields = probe.clone();
-            let matches = (|| -> Result<bool, CodecError> {
-                let idx = get_ue(&mut fields)? as usize;
-                let _qp = fields.get_bits(5)?;
-                Ok(idx == expected)
-            })()
-            .unwrap_or(false);
-            if matches {
-                starts.push(probe.bit_pos() - 16);
-                break;
+            let idx = get_ue(&mut fields).ok().map(|v| v as usize);
+            if idx == Some(expected) && fields.get_bits(5).is_ok() {
+                break Some(fields);
             }
             // A smaller index (in-slice marker) or a payload alias:
             // keep scanning forward.
-        }
+        };
+        starts.push(found.map(|payload| {
+            let start = (probe.bit_pos() - 16, payload.bit_pos());
+            // The next header lies past this one's fields, so every
+            // slice's payload precedes the next slice's start.
+            from = payload;
+            start
+        }));
     }
-    Some(starts)
+    starts
 }
 
-/// Read-shared context for one VOP's decode slice tasks.
+/// Read-shared context for one VOP's slice decodes.
 struct DecodeCtx<'a> {
     hdr: &'a VopHeader,
     alpha: Option<&'a TracedPlane>,
@@ -801,35 +695,69 @@ struct DecodeCtx<'a> {
     n_slices: usize,
 }
 
-/// Everything a decode slice's row chain carries from one task to the
-/// next: the forked counter stream, the slice's reader clone and charge
-/// window, its reconstruction band and recycled scratch, and the row
-/// cursor. Moving the whole state along the chain pins determinism —
-/// each fork sees exactly the access sequence the coarse slice job
-/// produces, just cut into one task per `grain` rows.
-struct DecodeChain<'a, M> {
-    smem: M,
+/// One slice's decode cursor: its reader and charge window, stats, the
+/// macroblock counter for resync markers, and the concealment state.
+/// The same state drives the unsliced path (on the caller's reader and
+/// window) and each slice chain (on its bounded clone and own window).
+struct SliceCursor<'a> {
     r: BitReader<'a>,
-    view: FrameViewMut<'a>,
-    scratch: &'a mut SliceScratch,
     charge: StreamCharge,
     stats: VopStats,
-    slice_index: usize,
-    /// Absolute bit position of the slice's first bit (the resync
-    /// marker for `slice_index > 0`); per-macroblock charges are
-    /// relative to it.
+    /// Absolute bit position of the slice's first bit (the slice header
+    /// for slices after the first); per-macroblock charges are relative
+    /// to it.
     slice_start: u64,
+    first_mb: usize,
+    /// One past the slice's last macroblock index: recovery never
+    /// resumes beyond the slice.
+    end_mb: usize,
+    mb_counter: usize,
+    /// `Some(target)` while concealing up to (but excluding) macroblock
+    /// `target`; `usize::MAX` conceals to the end of the slice.
+    conceal_until: Option<usize>,
+}
+
+impl<'a> SliceCursor<'a> {
+    fn new(
+        r: BitReader<'a>,
+        charge: StreamCharge,
+        slice_start: u64,
+        first_mb: usize,
+        end_mb: usize,
+    ) -> Self {
+        SliceCursor {
+            r,
+            charge,
+            stats: VopStats::default(),
+            slice_start,
+            first_mb,
+            end_mb,
+            mb_counter: first_mb,
+            conceal_until: None,
+        }
+    }
+}
+
+/// Everything a decode slice's row chain carries from one task to the
+/// next: the forked counter stream, its reconstruction band and
+/// recycled scratch, the slice cursor, and the row position. Moving the
+/// whole state along the chain pins determinism — each fork sees
+/// exactly the access sequence the coarse slice job produces, just cut
+/// into one task per `grain` rows.
+struct DecodeChain<'a, M> {
+    smem: M,
+    view: FrameViewMut<'a>,
+    scratch: &'a mut SliceScratch,
+    cur: SliceCursor<'a>,
+    slice_index: usize,
     rows: Range<usize>,
     next_row: usize,
-    first_mb: usize,
-    mb_counter: usize,
     grain: usize,
 }
 
 /// A finished decode slice: stats, reader end position (after the last
-/// macroblock), aligned end position (after stuffing — must meet the
-/// next slice's start), and the forked model to absorb.
-type DecodeSliceOut<M> = (VopStats, u64, u64, M);
+/// macroblock read), and the forked model to absorb.
+type DecodeSliceOut<M> = (VopStats, u64, M);
 
 /// One slice's result slot: filled exactly once by its chain's final
 /// task, drained by the coordinator in slice order.
@@ -852,12 +780,12 @@ fn run_decode_chains<'a, M: ParallelModel + 'a>(
     slots
 }
 
-/// One task of a decode slice's row chain: validates the slice header
-/// on the first task, decodes up to `grain` macroblock rows, then
-/// either spawns the continuation or finalizes the slice into its
-/// result slot. A panic anywhere in the slice body is caught at this
-/// task boundary and surfaces as a clean per-slice error — the pool is
-/// never poisoned and the other slices still decode.
+/// One task of a decode slice's row chain: decodes up to `grain`
+/// macroblock rows, then either spawns the continuation or finalizes
+/// the slice into its result slot. A panic anywhere in the slice body
+/// is caught at this task boundary and surfaces as a clean per-slice
+/// error — the pool is never poisoned and the other slices still
+/// decode.
 fn decode_chain_step<'s, M: ParallelModel + 's>(
     mut st: DecodeChain<'s, M>,
     ctx: &'s DecodeCtx<'s>,
@@ -874,17 +802,6 @@ fn decode_chain_step<'s, M: ParallelModel + 's>(
     }
     let body = |st: &mut DecodeChain<'s, M>| -> Result<(), CodecError> {
         if st.next_row == st.rows.start {
-            if st.slice_index > 0 {
-                // Slice header: the resync word, the index of the
-                // slice's first macroblock, and the quantizer (whose
-                // value the sequential decoder also ignores).
-                let m = st.r.get_bits(16)?;
-                let idx = get_ue(&mut st.r)? as usize;
-                let _qp = st.r.get_bits(5)?;
-                if m != u32::from(RESYNC_MARKER) || idx != st.first_mb {
-                    return Err(CodecError::InvalidStream("slice header mismatch"));
-                }
-            }
             // Recycled predictors start from reset — the same state a
             // fresh `MvPredictor::new` carries.
             st.scratch.fwd_pred.reset();
@@ -892,86 +809,123 @@ fn decode_chain_step<'s, M: ParallelModel + 's>(
         }
         let stop = st.next_row.saturating_add(st.grain).min(st.rows.end);
         while st.next_row < stop {
-            decode_slice_row(st, ctx)?;
+            decode_slice_row(
+                &mut st.smem,
+                &mut st.view,
+                st.scratch,
+                &mut st.cur,
+                ctx,
+                st.next_row,
+            )?;
             st.next_row += 1;
         }
         Ok(())
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut st)))
-        .unwrap_or(Err(CodecError::InvalidStream(
-            "panic during parallel slice decode",
-        )));
-    match result {
-        Err(e) => {
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
-            *slot.lock().expect("decode slot lock") = Some(Err(e));
-        }
-        Ok(()) if st.next_row < st.rows.end => {
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
-            scope.spawn(move |s| decode_chain_step(st, ctx, slot, s));
-        }
+        .unwrap_or(Err(CodecError::InvalidStream("panic during slice decode")));
+    let finished = match result {
+        Err(e) => Some(Err(e)),
+        Ok(()) if st.next_row < st.rows.end => None,
         Ok(()) => {
-            let end_pos = st.r.bit_pos();
-            st.r.skip_stuffing();
-            let aligned = st.r.bit_pos();
-            // Charge the slice's trailing stuffing — sequentially those
-            // bytes are swept up by the successor slice's first
-            // macroblock charge. The LAST slice's stuffing is the one
-            // tail the sequential decoder never touches (it stops right
-            // after the final macroblock), so stop there too.
+            let cur = &mut st.cur;
+            let end_pos = cur.r.bit_pos();
+            cur.r.skip_stuffing();
+            // Charge the slice's trailing stuffing, up to the next
+            // slice's header. The LAST slice's stuffing is the one tail
+            // no slice reads (decoding stops right after the final
+            // macroblock), so stop there too.
             let charge_end = if st.slice_index + 1 == ctx.n_slices {
                 end_pos
             } else {
-                aligned
+                cur.r.bit_pos()
             };
-            st.charge
-                .charge_to(&mut st.smem, charge_end - st.slice_start);
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
+            cur.charge
+                .charge_to(&mut st.smem, charge_end - cur.slice_start);
+            Some(Ok(end_pos))
+        }
+    };
+    if obs_on {
+        m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
+    }
+    match finished {
+        None => scope.spawn(move |s| decode_chain_step(st, ctx, slot, s)),
+        Some(res) => {
             *slot.lock().expect("decode slot lock") =
-                Some(Ok((st.stats, end_pos, aligned, st.smem)));
+                Some(res.map(|end| (st.cur.stats, end, st.smem)));
         }
     }
 }
 
-/// Decodes one macroblock row of a slice on the clean path only: any
-/// marker mismatch or macroblock error aborts the slice (no
-/// concealment — the coordinator falls back to the sequential decoder,
-/// which owns the error-resilience state machine).
-fn decode_slice_row<M: ParallelModel>(
-    st: &mut DecodeChain<'_, M>,
+/// Reads a resynchronization marker header — stuffing, the resync
+/// word, the macroblock index, the quantizer — and reports whether it
+/// is the marker for macroblock `expected`.
+fn read_marker(r: &mut BitReader<'_>, expected: usize) -> bool {
+    (|| -> Result<bool, CodecError> {
+        r.skip_stuffing();
+        let m = r.get_bits(16)?;
+        let idx = get_ue(r)? as usize;
+        let _qp = r.get_bits(5)?;
+        Ok(m == u32::from(RESYNC_MARKER) && idx == expected)
+    })()
+    .unwrap_or(false)
+}
+
+/// Decodes one macroblock row of a slice — the unit of both decode
+/// paths. Owns the error-resilience state machine: a bad resync marker
+/// or a macroblock error (when the VOP carries markers) conceals up to
+/// the slice's next valid marker; without markers the error is fatal.
+fn decode_slice_row<M: MemModel, F: FrameSink>(
+    mem: &mut M,
+    recon: &mut F,
+    scratch: &mut SliceScratch,
+    cur: &mut SliceCursor<'_>,
     ctx: &DecodeCtx<'_>,
+    mby: usize,
 ) -> Result<(), CodecError> {
     let header = ctx.hdr;
     let qp = header.qp;
-    let mby = st.next_row;
-    let mem = &mut st.smem;
-    let recon = &mut st.view;
-    st.scratch.fwd_pred.start_row();
-    st.scratch.bwd_pred.start_row();
+    let SliceScratch {
+        texture,
+        fwd_pred,
+        bwd_pred,
+        ..
+    } = scratch;
+    fwd_pred.start_row();
+    bwd_pred.start_row();
     let mut ips = IntraPredState::reset();
     for mbx in ctx.mbx_range.clone() {
         if let Some(interval) = header.resync_interval {
-            if st.mb_counter > st.first_mb && st.mb_counter.is_multiple_of(interval) {
-                // Clean path: the expected marker, or abort.
-                st.r.skip_stuffing();
-                let m = st.r.get_bits(16)?;
-                let idx = get_ue(&mut st.r)? as usize;
-                let _qp = st.r.get_bits(5)?;
-                if m != u32::from(RESYNC_MARKER) || idx != st.mb_counter {
-                    return Err(CodecError::InvalidStream("resync marker mismatch"));
+            if cur.mb_counter > cur.first_mb && cur.mb_counter.is_multiple_of(interval) {
+                match cur.conceal_until {
+                    None => {
+                        // Clean path: consume the expected marker.
+                        if read_marker(&mut cur.r, cur.mb_counter) {
+                            fwd_pred.reset();
+                            bwd_pred.reset();
+                            ips = IntraPredState::reset();
+                        } else {
+                            cur.conceal_until = Some(scan_to_marker(
+                                &mut cur.r,
+                                cur.mb_counter,
+                                cur.end_mb,
+                                interval,
+                            ));
+                        }
+                    }
+                    Some(target) if cur.mb_counter >= target => {
+                        // Resumption point: the scan already consumed
+                        // the marker header.
+                        cur.conceal_until = None;
+                        fwd_pred.reset();
+                        bwd_pred.reset();
+                        ips = IntraPredState::reset();
+                    }
+                    Some(_) => {}
                 }
-                st.scratch.fwd_pred.reset();
-                st.scratch.bwd_pred.reset();
-                ips = IntraPredState::reset();
             }
         }
-        st.mb_counter += 1;
+        let counter = cur.mb_counter;
+        cur.mb_counter += 1;
 
         let transparent = match ctx.alpha {
             Some(a) => span!(
@@ -982,320 +936,81 @@ fn decode_slice_row<M: ParallelModel>(
             None => false,
         };
         if transparent {
-            st.stats.transparent_mbs += 1;
+            cur.stats.transparent_mbs += 1;
             fill_grey_mb(mem, recon, mbx, mby);
-            st.scratch.fwd_pred.commit(mbx, MotionVector::ZERO);
-            st.scratch.bwd_pred.commit(mbx, MotionVector::ZERO);
+            fwd_pred.commit(mbx, MotionVector::ZERO);
+            bwd_pred.commit(mbx, MotionVector::ZERO);
             ips = IntraPredState::reset();
             continue;
         }
-        st.scratch.texture.charge_mb_overhead(mem);
+        texture.charge_mb_overhead(mem);
 
-        match header.kind {
+        if cur.conceal_until.is_some() {
+            conceal_mb(mem, ctx.fwd, recon, texture, mbx, mby);
+            cur.stats.concealed_mbs += 1;
+            fwd_pred.commit(mbx, MotionVector::ZERO);
+            bwd_pred.commit(mbx, MotionVector::ZERO);
+            ips = IntraPredState::reset();
+            continue;
+        }
+
+        let r = &mut cur.r;
+        let stats = &mut cur.stats;
+        let result = match header.kind {
             VopKind::I => {
-                decode_intra_mb(
-                    mem,
-                    &mut st.r,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut ips,
-                )?;
-                st.stats.intra_mbs += 1;
-                st.scratch.fwd_pred.commit(mbx, MotionVector::ZERO);
+                decode_intra_mb(mem, r, recon, texture, qp, mbx, mby, &mut ips).map(|()| {
+                    stats.intra_mbs += 1;
+                    fwd_pred.commit(mbx, MotionVector::ZERO);
+                })
             }
-            VopKind::P => {
-                let reference = ctx
-                    .fwd
-                    .ok_or(CodecError::InvalidStream("P-VOP without reference"))?;
-                decode_p_mb(
-                    mem,
-                    &mut st.r,
-                    reference,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut ips,
-                    &mut st.scratch.fwd_pred,
-                    &mut st.stats,
-                )?;
-            }
+            VopKind::P => ctx
+                .fwd
+                .ok_or(CodecError::InvalidStream("P-VOP without reference"))
+                .and_then(|reference| {
+                    decode_p_mb(
+                        mem, r, reference, recon, texture, qp, mbx, mby, &mut ips, fwd_pred, stats,
+                    )
+                }),
             VopKind::B => {
-                let f = ctx
-                    .fwd
-                    .ok_or(CodecError::InvalidStream("B-VOP without fwd ref"))?;
-                let b = ctx
-                    .bwd
-                    .ok_or(CodecError::InvalidStream("B-VOP without bwd ref"))?;
-                decode_b_mb(
-                    mem,
-                    &mut st.r,
-                    f,
-                    b,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut st.scratch.fwd_pred,
-                    &mut st.scratch.bwd_pred,
-                    &mut st.stats,
-                )?;
                 ips = IntraPredState::reset();
+                match (ctx.fwd, ctx.bwd) {
+                    (Some(f), Some(b)) => decode_b_mb(
+                        mem, r, f, b, recon, texture, qp, mbx, mby, fwd_pred, bwd_pred, stats,
+                    ),
+                    _ => Err(CodecError::InvalidStream("B-VOP without references")),
+                }
             }
+        };
+        if let Err(e) = result {
+            let Some(interval) = header.resync_interval else {
+                return Err(e);
+            };
+            // Error resilience: conceal this macroblock and everything
+            // up to the slice's next valid marker.
+            cur.conceal_until = Some(scan_to_marker(&mut cur.r, counter, cur.end_mb, interval));
+            conceal_mb(mem, ctx.fwd, recon, texture, mbx, mby);
+            cur.stats.concealed_mbs += 1;
+            fwd_pred.commit(mbx, MotionVector::ZERO);
+            bwd_pred.commit(mbx, MotionVector::ZERO);
+            ips = IntraPredState::reset();
         }
         span!(
             mem,
             Phase::Parse,
-            st.charge.charge_to(mem, st.r.bit_pos() - st.slice_start)
+            cur.charge.charge_to(mem, cur.r.bit_pos() - cur.slice_start)
         );
     }
     Ok(())
 }
 
-/// Decodes the macroblock layer of one VOP (after shape).
-#[allow(clippy::too_many_arguments)]
-fn decode_vop_body<M: MemModel>(
-    mem: &mut M,
-    r: &mut BitReader<'_>,
-    header: &VopHeader,
-    alpha: Option<&TracedPlane>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut TracedFrame,
-    texture: &mut TextureCoder,
-    charge: &mut StreamCharge,
-    bit_start: u64,
-    mb_cols: usize,
-    mb_rows: usize,
-) -> Result<VopStats, CodecError> {
-    let mut stats = VopStats::default();
-    let qp = header.qp;
-
-    let (mbx_range, mby_range) = match header.bbox {
-        Some((x0, y0, bw, bh)) => {
-            if x0 + bw > mb_cols * 16 || y0 + bh > mb_rows * 16 {
-                return Err(CodecError::InvalidStream("bounding box out of frame"));
-            }
-            (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16)
-        }
-        None => (0..mb_cols, 0..mb_rows),
-    };
-
-    let slice_rows = partition_rows(mby_range.clone(), header.slices);
-    let multi = slice_rows.len() > 1;
-    if multi {
-        // The sliced layout byte-aligns the header segment; consume the
-        // stuffing so slice 0 starts on its byte boundary.
-        r.skip_stuffing();
-    }
-
-    let mut fwd_pred = MvPredictor::new(mb_cols);
-    let mut bwd_pred = MvPredictor::new(mb_cols);
-    let total_mbs = mbx_range.len() * mby_range.len();
-    // `Some(target)` while concealing up to (but excluding) macroblock
-    // `target`; `usize::MAX` conceals to the end of the VOP.
-    let mut conceal_until: Option<usize> = None;
-
-    for (si, srows) in slice_rows.into_iter().enumerate() {
-        let slice_first_mb = (srows.start - mby_range.start) * mbx_range.len();
-        let mut mb_counter = slice_first_mb;
-        if si > 0 {
-            match conceal_until {
-                None => {
-                    // Slice header: stuffing, the resync word, the
-                    // slice's first macroblock index, the quantizer.
-                    let ok = (|| -> Result<bool, CodecError> {
-                        r.skip_stuffing();
-                        let m = r.get_bits(16)?;
-                        let idx = get_ue(r)? as usize;
-                        let _qp = r.get_bits(5)?;
-                        Ok(m == u32::from(crate::encoder::RESYNC_MARKER) && idx == slice_first_mb)
-                    })()
-                    .unwrap_or(false);
-                    if !ok {
-                        let Some(interval) = header.resync_interval else {
-                            return Err(CodecError::InvalidStream("slice header mismatch"));
-                        };
-                        conceal_until =
-                            Some(scan_to_marker(r, slice_first_mb, total_mbs, interval));
-                    }
-                }
-                Some(target) if slice_first_mb >= target => {
-                    // The recovery scan already consumed this slice's
-                    // header; resume decoding here.
-                    conceal_until = None;
-                }
-                Some(_) => {}
-            }
-        }
-        // Slice boundaries carry resync-marker semantics: no prediction
-        // crosses them (the encoder starts each slice from reset state).
-        fwd_pred.reset();
-        bwd_pred.reset();
-
-        for mby in srows {
-            fwd_pred.start_row();
-            bwd_pred.start_row();
-            let mut ips = IntraPredState::reset();
-            for mbx in mbx_range.clone() {
-                // Resynchronization-marker boundary handling.
-                if let Some(interval) = header.resync_interval {
-                    if mb_counter > slice_first_mb && mb_counter % interval == 0 {
-                        match conceal_until {
-                            None => {
-                                // Clean path: consume the expected marker.
-                                let ok = (|| -> Result<bool, CodecError> {
-                                    r.skip_stuffing();
-                                    let m = r.get_bits(16)?;
-                                    let idx = get_ue(r)? as usize;
-                                    let _qp = r.get_bits(5)?;
-                                    Ok(m == u32::from(crate::encoder::RESYNC_MARKER)
-                                        && idx == mb_counter)
-                                })()
-                                .unwrap_or(false);
-                                if ok {
-                                    fwd_pred.reset();
-                                    bwd_pred.reset();
-                                    ips = IntraPredState::reset();
-                                } else {
-                                    conceal_until =
-                                        Some(scan_to_marker(r, mb_counter, total_mbs, interval));
-                                }
-                            }
-                            Some(target) if mb_counter >= target => {
-                                // Resumption point: the scan already consumed
-                                // the marker header.
-                                conceal_until = None;
-                                fwd_pred.reset();
-                                bwd_pred.reset();
-                                ips = IntraPredState::reset();
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                let counter = mb_counter;
-                mb_counter += 1;
-
-                let transparent = match alpha {
-                    Some(a) => span!(
-                        mem,
-                        Phase::Shape,
-                        classify_bab(mem, a, mbx, mby) == BabClass::Transparent
-                    ),
-                    None => false,
-                };
-                if transparent {
-                    stats.transparent_mbs += 1;
-                    fill_grey_mb(mem, recon, mbx, mby);
-                    fwd_pred.commit(mbx, MotionVector::ZERO);
-                    bwd_pred.commit(mbx, MotionVector::ZERO);
-                    ips = IntraPredState::reset();
-                    continue;
-                }
-                texture.charge_mb_overhead(mem);
-
-                if conceal_until.is_some() {
-                    conceal_mb(mem, fwd, recon, texture, mbx, mby);
-                    stats.concealed_mbs += 1;
-                    fwd_pred.commit(mbx, MotionVector::ZERO);
-                    bwd_pred.commit(mbx, MotionVector::ZERO);
-                    ips = IntraPredState::reset();
-                    continue;
-                }
-
-                let result = (|| -> Result<(), CodecError> {
-                    match header.kind {
-                        VopKind::I => {
-                            decode_intra_mb(mem, r, recon, texture, qp, mbx, mby, &mut ips)?;
-                            stats.intra_mbs += 1;
-                            fwd_pred.commit(mbx, MotionVector::ZERO);
-                        }
-                        VopKind::P => {
-                            let reference =
-                                fwd.ok_or(CodecError::InvalidStream("P-VOP without reference"))?;
-                            decode_p_mb(
-                                mem,
-                                r,
-                                reference,
-                                recon,
-                                texture,
-                                qp,
-                                mbx,
-                                mby,
-                                &mut ips,
-                                &mut fwd_pred,
-                                &mut stats,
-                            )?;
-                        }
-                        VopKind::B => {
-                            let f =
-                                fwd.ok_or(CodecError::InvalidStream("B-VOP without fwd ref"))?;
-                            let b =
-                                bwd.ok_or(CodecError::InvalidStream("B-VOP without bwd ref"))?;
-                            decode_b_mb(
-                                mem,
-                                r,
-                                f,
-                                b,
-                                recon,
-                                texture,
-                                qp,
-                                mbx,
-                                mby,
-                                &mut fwd_pred,
-                                &mut bwd_pred,
-                                &mut stats,
-                            )?;
-                            ips = IntraPredState::reset();
-                        }
-                    }
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => {}
-                    Err(e) => {
-                        let Some(interval) = header.resync_interval else {
-                            return Err(e);
-                        };
-                        // Error resilience: conceal this macroblock and
-                        // everything up to the next valid marker.
-                        conceal_until = Some(scan_to_marker(r, counter, total_mbs, interval));
-                        conceal_mb(mem, fwd, recon, texture, mbx, mby);
-                        stats.concealed_mbs += 1;
-                        fwd_pred.commit(mbx, MotionVector::ZERO);
-                        bwd_pred.commit(mbx, MotionVector::ZERO);
-                        ips = IntraPredState::reset();
-                    }
-                }
-                span!(
-                    mem,
-                    Phase::Parse,
-                    charge.charge_to(mem, r.bit_pos().max(bit_start) - bit_start)
-                );
-            }
-        }
-    }
-
-    if let Some(bbox) = header.bbox {
-        fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
-    }
-
-    Ok(stats)
-}
-
-/// Scans forward for the next valid resynchronization marker and
-/// returns the macroblock index at which decoding may resume (leaving
-/// the reader positioned after the marker header), or `usize::MAX` when
-/// no further marker exists.
-fn scan_to_marker(r: &mut BitReader<'_>, after: usize, total_mbs: usize, interval: usize) -> usize {
+/// Scans forward for the next valid resynchronization marker before
+/// macroblock `end_mb` and returns the macroblock index at which
+/// decoding may resume (leaving the reader positioned after the marker
+/// header), or `usize::MAX` when no such marker exists before the end
+/// of the reader's stream.
+fn scan_to_marker(r: &mut BitReader<'_>, after: usize, end_mb: usize, interval: usize) -> usize {
     loop {
-        if !r.scan_aligned_u16(crate::encoder::RESYNC_MARKER) {
+        if !r.scan_aligned_u16(RESYNC_MARKER) {
             return usize::MAX;
         }
         let mut probe = r.clone();
@@ -1305,7 +1020,7 @@ fn scan_to_marker(r: &mut BitReader<'_>, after: usize, total_mbs: usize, interva
             Ok(idx)
         })();
         if let Ok(idx) = parsed {
-            if idx > after && idx < total_mbs && idx % interval == 0 {
+            if idx > after && idx < end_mb && idx % interval == 0 {
                 *r = probe;
                 return idx;
             }

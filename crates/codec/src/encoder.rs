@@ -4,7 +4,7 @@
 
 use crate::config::EncoderConfig;
 use crate::error::CodecError;
-use crate::header::{VolHeader, VopHeader};
+use crate::header::{VolHeader, VopHeader, MAX_DIMENSION};
 use crate::mbops::{
     add_prediction, chroma_mv, pred_subblock, read_block, residual, write_block, write_block_u8,
     IntraPredState, MvPredictor, StreamCharge,
@@ -240,8 +240,9 @@ impl VideoObjectCoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::InvalidConfig`] for bad configuration or
-    /// non-macroblock-aligned dimensions.
+    /// Returns [`CodecError::InvalidConfig`] for bad configuration,
+    /// non-macroblock-aligned dimensions, or dimensions above
+    /// [`MAX_DIMENSION`].
     pub fn new(
         space: &mut AddressSpace,
         width: usize,
@@ -267,8 +268,9 @@ impl VideoObjectCoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::InvalidConfig`] for bad configuration or
-    /// non-macroblock-aligned dimensions.
+    /// Returns [`CodecError::InvalidConfig`] for bad configuration,
+    /// non-macroblock-aligned dimensions, or dimensions above
+    /// [`MAX_DIMENSION`].
     pub fn with_vol(
         space: &mut AddressSpace,
         vol: VolHeader,
@@ -279,6 +281,11 @@ impl VideoObjectCoder {
         if width % 16 != 0 || height % 16 != 0 {
             return Err(CodecError::InvalidConfig(
                 "frame dimensions must be multiples of 16",
+            ));
+        }
+        if width > MAX_DIMENSION || height > MAX_DIMENSION {
+            return Err(CodecError::InvalidConfig(
+                "frame dimensions exceed MAX_DIMENSION",
             ));
         }
         let alpha_for = |space: &mut AddressSpace| {

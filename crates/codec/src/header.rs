@@ -11,6 +11,13 @@ use crate::types::VopKind;
 use crate::vlc::{get_ue, put_ue};
 use m4ps_bitstream::{BitReader, BitWriter, StartCode};
 
+/// Largest frame width or height, in pixels, a VOL may declare: twice
+/// the paper's largest size (2048×1024) per side. The decoder sizes its
+/// reference frames from the VOL header, so this cap bounds that
+/// allocation before any frame exists; the encoder enforces it too, so
+/// it never writes a stream the decoder refuses.
+pub const MAX_DIMENSION: usize = 4096;
+
 /// Video-object-layer header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VolHeader {
@@ -68,7 +75,13 @@ impl VolHeader {
         let vol_id = get_ue(r)?;
         let width = get_ue(r)? as usize;
         let height = get_ue(r)? as usize;
-        if width == 0 || height == 0 || !width.is_multiple_of(2) || !height.is_multiple_of(2) {
+        if width == 0
+            || height == 0
+            || width > MAX_DIMENSION
+            || height > MAX_DIMENSION
+            || !width.is_multiple_of(2)
+            || !height.is_multiple_of(2)
+        {
             return Err(CodecError::InvalidStream("illegal VOL dimensions"));
         }
         let binary_shape = r.get_bit()?;

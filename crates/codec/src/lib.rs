@@ -78,7 +78,7 @@ pub use encoder::{
     EncodedVop, FrameView, ReconPlanes, Scheduling, VideoObjectCoder, VopStats, SCHED_ENV,
 };
 pub use error::CodecError;
-pub use header::{VolHeader, VopHeader};
+pub use header::{VolHeader, VopHeader, MAX_DIMENSION};
 pub use mc::motion_compensate_block;
 pub use me::{MotionSearch, SearchOutcome};
 pub use plane::{FrameViewMut, PlaneViewMut, TracedFrame, TracedPlane, PAD};

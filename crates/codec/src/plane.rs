@@ -15,7 +15,7 @@ pub const PAD: usize = 16;
 ///
 /// Implemented by whole planes ([`TracedPlane`]) and by borrowed slice
 /// regions ([`PlaneViewMut`]), so the macroblock write path is shared
-/// between the sequential decoder and the zero-copy parallel encoder.
+/// between whole-frame (unsliced) coding and the zero-copy slice bands.
 pub(crate) trait RowSink {
     /// Traced write of a row of pixels at `(x, y)`.
     fn store_row<M: MemModel>(&mut self, mem: &mut M, x: isize, y: isize, src: &[u8]);

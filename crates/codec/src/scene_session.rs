@@ -435,12 +435,6 @@ impl SceneDecoder {
         }
     }
 
-    /// Total VOPs across all layer decoders that fell back to the
-    /// sequential path (always 0 on clean streams).
-    pub fn parallel_fallbacks(&self) -> u64 {
-        self.decoders.iter().map(|d| d.parallel_fallbacks()).sum()
-    }
-
     /// Session statistics so far.
     pub fn stats(&self) -> SessionStats {
         self.stats

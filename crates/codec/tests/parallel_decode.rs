@@ -1,10 +1,10 @@
 //! Parallel decoding invariants: the decoder's thread count AND
 //! scheduling mode are pure scheduling knobs, exactly as on the encode
-//! side. For any multi-slice stream, the slice-parallel decoder must
-//! produce bit-identical reconstructions and identical merged
-//! memory-model counters no matter how many workers ran the slices or
-//! how the rows were cut into tasks — and it must never fall back to
-//! the sequential path on a clean stream.
+//! side. For any multi-slice stream, the decoder must reproduce the
+//! encoder's own reconstruction bit for bit, with identical merged
+//! memory-model counters no matter how many workers ran the slices
+//! (threads = 0 included: one worker, inline on the caller) or how the
+//! rows were cut into tasks.
 
 use m4ps_codec::{
     EncoderConfig, FrameView, GopStructure, Scheduling, VideoObjectCoder, VideoObjectDecoder,
@@ -28,13 +28,17 @@ fn test_config(slices: usize, b_frames: usize) -> EncoderConfig {
     .with_slices(slices)
 }
 
-/// Encodes a QCIF scene sequentially and returns the elementary stream.
+type Planes = Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>;
+
+/// Encodes a QCIF scene and returns the elementary stream plus the
+/// encoder's reconstruction of every VOP, in coding order — the
+/// reference every decode must reproduce.
 fn encode_stream<M: ParallelModel>(
     mem: &mut M,
     scene_seed: u64,
     slices: usize,
     b_frames: usize,
-) -> Vec<u8> {
+) -> (Vec<u8>, Planes) {
     let scene = Scene::new(SceneSpec {
         resolution: Resolution::QCIF,
         objects: 0,
@@ -43,7 +47,14 @@ fn encode_stream<M: ParallelModel>(
     let mut space = AddressSpace::new();
     let mut coder =
         VideoObjectCoder::new(&mut space, 176, 144, test_config(slices, b_frames)).unwrap();
+    coder.set_keep_recon(true);
     let mut stream = coder.header_bytes();
+    let mut recon = Vec::new();
+    let mut keep = |vop: m4ps_codec::EncodedVop, stream: &mut Vec<u8>| {
+        stream.extend_from_slice(&vop.bytes);
+        let p = vop.recon.unwrap();
+        recon.push((p.y, p.u, p.v));
+    };
     for t in 0..FRAMES {
         let f = scene.frame(t);
         let view = FrameView {
@@ -54,25 +65,23 @@ fn encode_stream<M: ParallelModel>(
             v: &f.v,
         };
         for vop in coder.encode_frame(mem, &view, None).unwrap() {
-            stream.extend_from_slice(&vop.bytes);
+            keep(vop, &mut stream);
         }
     }
     for vop in coder.flush(mem).unwrap() {
-        stream.extend_from_slice(&vop.bytes);
+        keep(vop, &mut stream);
     }
-    stream
+    (stream, recon)
 }
 
-type Planes = Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>;
-
-/// Reconstruction planes of every VOP, plus the decoder's fallback
-/// count, for one full decode of `stream` at the given schedule.
+/// Reconstruction planes of every VOP for one full decode of `stream`
+/// at the given schedule.
 fn decode_planes<M: ParallelModel>(
     mem: &mut M,
     stream: &[u8],
     threads: usize,
     sched: Scheduling,
-) -> (Planes, u64) {
+) -> Planes {
     let mut space = AddressSpace::new();
     let mut r = m4ps_bitstream::BitReader::new(stream);
     let mut dec = VideoObjectDecoder::from_stream(&mut space, mem, &mut r).unwrap();
@@ -84,95 +93,96 @@ fn decode_planes<M: ParallelModel>(
         let p = vop.planes.unwrap();
         out.push((p.y, p.u, p.v));
     }
-    (out, dec.parallel_fallbacks())
+    out
 }
 
+/// Every thread count the identity tests sweep; 0 runs the slices on
+/// a one-worker pool, inline on the caller.
+const THREADS: [usize; 4] = [0, 1, 2, 4];
+const SCHEDS: [Scheduling; 2] = [Scheduling::SliceParallel, Scheduling::Wavefront];
+
 #[test]
-fn parallel_decode_matches_sequential_reconstruction() {
+fn decode_matches_the_encoder_reconstruction() {
     let mut mem = NullModel::new();
-    let stream = encode_stream(&mut mem, 7, 4, 1);
-    let (reference, _) = decode_planes(&mut mem, &stream, 0, Scheduling::SliceParallel);
-    assert_eq!(reference.len(), FRAMES);
-    for threads in [1, 2, 4, 7] {
-        let (planes, fallbacks) =
-            decode_planes(&mut mem, &stream, threads, Scheduling::SliceParallel);
-        assert_eq!(fallbacks, 0, "clean stream fell back at {threads} threads");
+    let (stream, recon) = encode_stream(&mut mem, 7, 4, 1);
+    assert_eq!(recon.len(), FRAMES);
+    for threads in [0, 1, 2, 4, 7] {
+        let planes = decode_planes(&mut mem, &stream, threads, Scheduling::SliceParallel);
         assert_eq!(
-            planes, reference,
-            "{threads}-thread reconstruction differs from sequential"
+            planes, recon,
+            "{threads}-thread reconstruction differs from the encoder's"
         );
     }
 }
 
 #[test]
-fn parallel_decode_matches_across_scheduling_modes() {
+fn decode_matches_across_scheduling_modes() {
     // Wavefront cuts each decode slice into one task per macroblock
-    // row; slice-parallel runs it as one coarse job. Same planes and
-    // counters either way, at any worker count.
+    // row; slice-parallel runs it as one coarse job. Same planes
+    // either way, at any worker count.
     let mut mem = NullModel::new();
-    let stream = encode_stream(&mut mem, 11, 3, 2);
-    let (reference, _) = decode_planes(&mut mem, &stream, 0, Scheduling::SliceParallel);
-    for threads in [1, 3, 4] {
-        for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
-            let (planes, fallbacks) = decode_planes(&mut mem, &stream, threads, sched);
-            assert_eq!(fallbacks, 0);
+    let (stream, recon) = encode_stream(&mut mem, 11, 3, 2);
+    for threads in [0, 1, 3, 4] {
+        for sched in SCHEDS {
+            let planes = decode_planes(&mut mem, &stream, threads, sched);
             assert_eq!(
-                planes, reference,
-                "{sched:?} at {threads} threads differs from sequential"
+                planes, recon,
+                "{sched:?} at {threads} threads differs from the encoder's reconstruction"
             );
         }
     }
 }
 
 #[test]
-fn merged_counters_are_identical_for_any_thread_count() {
-    // The single-worker run IS the sequential reference for counters:
-    // exactly as in `parallel.rs`, the slice construction (forks,
-    // per-slice charge windows) is fixed by the slice count, so the
-    // worker count only reorders work between threads. (The legacy
-    // no-pool path charges stream bytes through one continuous window
-    // — a different, also-deterministic counter stream.)
+fn merged_counters_are_identical_for_any_thread_count_and_schedule() {
+    // One construction, one counter stream: the slice construction
+    // (forks, per-slice charge windows) is fixed by the slice count,
+    // so the worker count and the row grain only reorder work between
+    // threads — exactly as in `parallel.rs`.
     let mut enc_mem = NullModel::new();
-    let stream = encode_stream(&mut enc_mem, 7, 4, 1);
-    let run = |threads: usize| -> Counters {
+    let (stream, _) = encode_stream(&mut enc_mem, 7, 4, 1);
+    let run = |threads: usize, sched: Scheduling| -> Counters {
         let mut mem = Hierarchy::new(MachineSpec::o2());
-        let (_, fallbacks) = decode_planes(&mut mem, &stream, threads, Scheduling::SliceParallel);
-        assert_eq!(fallbacks, 0);
+        decode_planes(&mut mem, &stream, threads, sched);
         *mem.counters()
     };
-    let reference = run(1);
+    let reference = run(0, Scheduling::SliceParallel);
     assert!(reference.loads > 0);
-    for threads in [2, 4] {
-        assert_eq!(
-            run(threads),
-            reference,
-            "{threads}-thread decode counters differ from the single-threaded ones"
-        );
+    for threads in THREADS {
+        for sched in SCHEDS {
+            assert_eq!(
+                run(threads, sched),
+                reference,
+                "{sched:?} at {threads} threads: decode counters differ from threads=0"
+            );
+        }
     }
 }
 
 #[test]
-fn single_slice_streams_stay_on_the_sequential_path() {
-    // One slice per VOP leaves nothing to parallelize: the dispatcher
-    // reports neither a parallel decode nor a fallback, and the result
-    // is untouched.
-    let mut mem = NullModel::new();
-    let stream = encode_stream(&mut mem, 7, 1, 1);
-    let (reference, _) = decode_planes(&mut mem, &stream, 0, Scheduling::SliceParallel);
-    let (planes, fallbacks) = decode_planes(&mut mem, &stream, 4, Scheduling::SliceParallel);
-    assert_eq!(fallbacks, 0);
-    assert_eq!(planes, reference);
+fn single_slice_streams_decode_identically_at_any_thread_count() {
+    // One slice per VOP decodes on the caller without a fork or a
+    // pool, whatever the thread setting: same planes, same counters.
+    let mut enc_mem = NullModel::new();
+    let (stream, recon) = encode_stream(&mut enc_mem, 7, 1, 1);
+    let run = |threads: usize| {
+        let mut mem = Hierarchy::new(MachineSpec::o2());
+        let planes = decode_planes(&mut mem, &stream, threads, Scheduling::SliceParallel);
+        (planes, *mem.counters())
+    };
+    let (planes, counters) = run(0);
+    assert_eq!(planes, recon);
+    assert_eq!(run(4), (planes, counters));
 }
 
 #[test]
 fn random_streams_decode_identically_for_any_schedule() {
     // Property: for ANY scene, slice count, B-queue depth, thread
-    // count and scheduling mode, the parallel decode produces exactly
-    // the reconstructions and merged counters of the sequential decode
-    // of the SAME stream — and never falls back on a clean stream with
-    // 2+ slices. Randomizing all four covers uneven slice partitions,
-    // more-threads-than-slices schedules, B-VOP slices and the
-    // wavefront row chains the pinned tests above don't reach.
+    // count and scheduling mode, the decode reproduces the encoder's
+    // reconstruction, with the merged counters of the threads=0 decode
+    // of the SAME stream. Randomizing all four covers uneven slice
+    // partitions, more-threads-than-slices schedules, B-VOP slices and
+    // the wavefront row chains the pinned tests above don't reach.
     prop::check(
         "parallel_decode_determinism",
         &Config::with_cases(5),
@@ -186,31 +196,21 @@ fn random_streams_decode_identically_for_any_schedule() {
         },
         |&(scene_seed, slices, b_frames, threads)| {
             let mut enc_mem = NullModel::new();
-            let stream = encode_stream(&mut enc_mem, scene_seed, slices, b_frames);
+            let (stream, recon) = encode_stream(&mut enc_mem, scene_seed, slices, b_frames);
             let run = |threads: usize, sched: Scheduling| {
                 let mut mem = Hierarchy::new(MachineSpec::o2());
-                let (planes, fallbacks) = decode_planes(&mut mem, &stream, threads, sched);
-                (planes, fallbacks, *mem.counters())
+                let planes = decode_planes(&mut mem, &stream, threads, sched);
+                (planes, *mem.counters())
             };
-            // Reconstruction must match the legacy no-pool decoder;
-            // counters must match the single-worker run of the same
-            // slice construction (see the counters test above).
-            let (legacy_planes, _, _) = run(0, Scheduling::SliceParallel);
-            let (seq_planes, _, seq_counters) = run(1, Scheduling::SliceParallel);
-            if seq_planes != legacy_planes {
+            let (seq_planes, seq_counters) = run(0, Scheduling::SliceParallel);
+            if seq_planes != recon {
                 return Err(format!(
-                    "1-thread reconstruction differs from the no-pool decoder: \
+                    "threads=0 reconstruction differs from the encoder's: \
                      {slices} slices, {b_frames} B"
                 ));
             }
-            for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
-                let (par_planes, fallbacks, par_counters) = run(threads, sched);
-                if fallbacks != 0 {
-                    return Err(format!(
-                        "clean stream fell back: {slices} slices, {b_frames} B, \
-                         {threads} threads, {sched:?}"
-                    ));
-                }
+            for sched in SCHEDS {
+                let (par_planes, par_counters) = run(threads, sched);
                 if par_planes != seq_planes {
                     return Err(format!(
                         "reconstruction differs: {slices} slices, {b_frames} B, \

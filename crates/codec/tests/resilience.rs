@@ -6,8 +6,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use m4ps_bitstream::BitReader;
-use m4ps_codec::{EncoderConfig, FrameView, VideoObjectCoder, VideoObjectDecoder};
-use m4ps_memsim::{AddressSpace, NullModel};
+use m4ps_codec::{
+    get_ue, EncoderConfig, FrameView, Scheduling, VideoObjectCoder, VideoObjectDecoder,
+    MAX_DIMENSION,
+};
+use m4ps_memsim::{AddressSpace, Counters, Hierarchy, MachineSpec, MemModel, NullModel};
 use m4ps_testkit::Rng;
 use m4ps_vidgen::{Resolution, Scene, SceneSpec, YuvFrame};
 
@@ -273,18 +276,43 @@ fn bit_flipped_streams_error_but_never_panic() {
 }
 
 // ---------------------------------------------------------------------
-// The same corpus through the slice-parallel decoder. A corrupt slice
-// surfaces as a clean per-slice error inside the pool (caught at the
-// task boundary), the decoder falls back to the sequential concealment
-// path, and the pool survives for the next VOP and the next stream.
+// The same corpus on multi-slice streams. Every multi-slice VOP decodes
+// through the slice chains; a corrupt slice conceals locally (or
+// surfaces as a clean per-slice error, caught at the task boundary),
+// the pool survives for the next VOP and the next stream, and the
+// result is identical at every thread count and schedule.
 // ---------------------------------------------------------------------
 
 fn sliced_resync_config() -> EncoderConfig {
     resync_config().with_slices(3)
 }
 
-/// Like [`decode_arbitrary`] but on the slice-parallel path over a
-/// shared persistent pool.
+/// The damaged-stream corpus for one clean stream: random truncations,
+/// random 1–4 bit flips, and short garbage buffers.
+fn corrupt_corpus(stream: &[u8]) -> Vec<Vec<u8>> {
+    let mut corpus = Vec::new();
+    let mut rng = Rng::new(0xc0ffee);
+    for _ in 0..24 {
+        let cut = rng.gen_range(0..stream.len());
+        corpus.push(stream[..cut].to_vec());
+    }
+    for _ in 0..30 {
+        let mut damaged = stream.to_vec();
+        for _ in 0..rng.gen_range(1usize..=4) {
+            let byte = rng.gen_range(0..damaged.len());
+            damaged[byte] ^= 1 << rng.gen_range(0u32..8);
+        }
+        corpus.push(damaged);
+    }
+    let mut rng = Rng::new(0x9a5ba9e);
+    for _ in 0..16 {
+        let len = rng.gen_range(0usize..512);
+        corpus.push((0..len).map(|_| rng.gen_range(0u32..256) as u8).collect());
+    }
+    corpus
+}
+
+/// Like [`decode_arbitrary`] but on a shared persistent pool.
 fn decode_arbitrary_parallel(stream: &[u8], pool: &std::sync::Arc<m4ps_pool::WorkerPool>) -> usize {
     let mut mem = NullModel::new();
     let mut space = AddressSpace::new();
@@ -300,46 +328,174 @@ fn decode_arbitrary_parallel(stream: &[u8], pool: &std::sync::Arc<m4ps_pool::Wor
     n
 }
 
-#[test]
-fn corrupt_slice_falls_back_to_sequential_concealment() {
-    // Damage one slice's payload: the parallel attempt must abandon
-    // that VOP (per-slice error, no panic), re-decode it sequentially,
-    // and end up with EXACTLY the sequential decoder's concealment —
-    // while the other VOPs keep decoding in parallel.
-    let (mut stream, encoded, _) = encode_clip(sliced_resync_config(), 4);
-    let second_vop_start =
-        stream.len() - encoded.last().unwrap().bytes.len() - encoded[encoded.len() - 2].bytes.len();
-    for i in 0..4 {
-        stream[second_vop_start + 60 + i] ^= 0xa5;
-    }
-    let sequential = decode_clip(&stream);
+/// Everything observable about one decode of an arbitrary buffer: each
+/// VOP's planes and stats, the error that ended it (if any), and the
+/// merged counters.
+type Outcome = (
+    Vec<(m4ps_codec::ReconPlanes, m4ps_codec::VopStats)>,
+    Option<String>,
+    Counters,
+);
 
-    let mut mem = NullModel::new();
+fn decode_outcome(stream: &[u8], threads: usize, sched: Scheduling) -> Outcome {
+    let mut mem = Hierarchy::new(MachineSpec::o2());
     let mut space = AddressSpace::new();
-    let mut r = BitReader::new(&stream);
-    let mut dec = VideoObjectDecoder::from_stream(&mut space, &mut mem, &mut r).unwrap();
-    dec.set_threads(4);
+    let mut r = BitReader::new(stream);
+    let mut dec = match VideoObjectDecoder::from_stream(&mut space, &mut mem, &mut r) {
+        Ok(dec) => dec,
+        Err(e) => return (Vec::new(), Some(e.to_string()), *mem.counters()),
+    };
+    dec.set_threads(threads);
+    dec.set_scheduling(sched);
     dec.set_keep_output(true);
-    let mut parallel = Vec::new();
-    while let Ok(Some(v)) = dec.decode_next(&mut mem, &mut r) {
-        parallel.push(v);
+    let mut vops = Vec::new();
+    let err = loop {
+        match dec.decode_next(&mut mem, &mut r) {
+            Ok(Some(v)) => vops.push((v.planes.unwrap(), v.stats)),
+            Ok(None) => break None,
+            Err(e) => break Some(e.to_string()),
+        }
+    };
+    (vops, err, *mem.counters())
+}
+
+/// Byte offsets (within `vop`) of the slice headers of one encoded
+/// multi-slice VOP: each is a byte-aligned resync marker whose
+/// macroblock index opens a slice of `slice_mbs` macroblocks.
+fn slice_header_offsets(vop: &[u8], slice_mbs: usize) -> Vec<usize> {
+    (0..vop.len().saturating_sub(2))
+        .filter(|&p| {
+            vop[p] == 0x5a && vop[p + 1] == 0x3c && {
+                let mut r = BitReader::new(&vop[p + 2..]);
+                matches!(get_ue(&mut r), Ok(idx) if idx > 0 && (idx as usize).is_multiple_of(slice_mbs))
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn corrupt_slice_conceals_locally() {
+    // Damage the middle slice of one VOP: only that slice conceals,
+    // and the VOP's other slices reconstruct exactly as in the clean
+    // decode — at every thread count and schedule.
+    let (clean, encoded, _) = encode_clip(sliced_resync_config(), 4);
+    let (cols, rows_per_slice) = (176 / 16, 144 / 16 / 3);
+    let slice_mbs = cols * rows_per_slice;
+    let target = 1;
+    let vop_start = clean.len()
+        - encoded[target..]
+            .iter()
+            .map(|v| v.bytes.len())
+            .sum::<usize>();
+    let headers = slice_header_offsets(&encoded[target].bytes, slice_mbs);
+    assert_eq!(headers.len(), 2, "three slices, two slice headers");
+    let mut stream = clean.clone();
+    for i in 0..4 {
+        stream[vop_start + headers[0] + 8 + i] ^= 0xa5;
     }
-    assert!(
-        dec.parallel_fallbacks() > 0,
-        "corrupt slice never reached the parallel path"
-    );
-    assert_eq!(parallel.len(), sequential.len());
-    for (p, s) in parallel.iter().zip(&sequential) {
-        assert_eq!(p.stats, s.stats);
-        assert_eq!(
-            p.planes.as_ref().unwrap().y,
-            s.planes.as_ref().unwrap().y,
-            "fallback concealment diverged at display {}",
-            p.display_index
-        );
+
+    let reference = decode_outcome(&clean, 0, Scheduling::SliceParallel);
+    for threads in [0, 1, 4] {
+        for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
+            let (vops, err, _) = decode_outcome(&stream, threads, sched);
+            assert_eq!(err, None);
+            assert_eq!(vops.len(), encoded.len());
+            let (damaged, stats) = &vops[target];
+            assert!(stats.concealed_mbs > 0, "corruption went unnoticed");
+            assert!(
+                stats.concealed_mbs <= slice_mbs as u64,
+                "concealment left the damaged slice: {} MBs",
+                stats.concealed_mbs
+            );
+            let (clean_planes, clean_stats) = &reference.0[target];
+            assert_eq!(
+                stats.intra_mbs + stats.inter_mbs + stats.skipped_mbs + stats.concealed_mbs,
+                clean_stats.intra_mbs + clean_stats.inter_mbs + clean_stats.skipped_mbs
+            );
+            let band = 16 * 176 * rows_per_slice;
+            let cband = band / 4;
+            for (rows, crows) in [
+                (0..band, 0..cband),
+                (2 * band..3 * band, 2 * cband..3 * cband),
+            ] {
+                assert_eq!(damaged.y[rows.clone()], clean_planes.y[rows]);
+                assert_eq!(damaged.u[crows.clone()], clean_planes.u[crows.clone()]);
+                assert_eq!(damaged.v[crows.clone()], clean_planes.v[crows]);
+            }
+            assert_ne!(
+                damaged.y[band..2 * band],
+                clean_planes.y[band..2 * band],
+                "the damaged slice decoded clean"
+            );
+        }
     }
-    let concealed: u64 = parallel.iter().map(|d| d.stats.concealed_mbs).sum();
-    assert!(concealed > 0, "corruption went unnoticed");
+}
+
+#[test]
+fn unlocatable_slice_header_conceals_the_slice_or_fails_the_vop() {
+    // Break the middle slice's resync word so the pre-scan cannot find
+    // it. With resync markers the whole slice is concealed and its
+    // neighbours decode clean; without them the VOP is an error.
+    let (cols, rows_per_slice) = (176 / 16, 144 / 16 / 3);
+    let slice_mbs = cols * rows_per_slice;
+    for (config, resync) in [
+        (sliced_resync_config(), true),
+        (EncoderConfig::fast_test().with_slices(3), false),
+    ] {
+        let (clean, encoded, _) = encode_clip(config, 4);
+        let target = 1;
+        let vop_start = clean.len()
+            - encoded[target..]
+                .iter()
+                .map(|v| v.bytes.len())
+                .sum::<usize>();
+        let headers = slice_header_offsets(&encoded[target].bytes, slice_mbs);
+        let mut stream = clean.clone();
+        stream[vop_start + headers[0]] ^= 0xff;
+        let reference = decode_outcome(&clean, 0, Scheduling::SliceParallel);
+        let damaged = decode_outcome(&stream, 0, Scheduling::SliceParallel);
+        for threads in [1, 4] {
+            for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
+                assert!(decode_outcome(&stream, threads, sched) == damaged);
+            }
+        }
+        if resync {
+            assert_eq!(damaged.1, None);
+            let (planes, stats) = &damaged.0[target];
+            assert_eq!(stats.concealed_mbs, slice_mbs as u64);
+            let band = 16 * 176 * rows_per_slice;
+            let clean_y = &reference.0[target].0.y;
+            assert_eq!(planes.y[..band], clean_y[..band]);
+            assert_eq!(planes.y[2 * band..], clean_y[2 * band..]);
+        } else {
+            assert_eq!(damaged.0.len(), target, "the damaged VOP must fail");
+            assert!(damaged.1.is_some());
+        }
+    }
+}
+
+#[test]
+fn corrupt_multi_slice_decode_is_identical_at_any_thread_count() {
+    // Over the whole corpus — planes, stats (concealment included),
+    // the terminating error, and the merged counters are a function of
+    // the bytes alone, never of the worker count or the row grain.
+    for config in [
+        EncoderConfig::fast_test().with_slices(3),
+        sliced_resync_config(),
+    ] {
+        let (stream, _, _) = encode_clip(config, 3);
+        for (case, damaged) in corrupt_corpus(&stream).iter().enumerate() {
+            let reference = decode_outcome(damaged, 0, Scheduling::SliceParallel);
+            for threads in [0, 1, 4] {
+                for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
+                    assert!(
+                        decode_outcome(damaged, threads, sched) == reference,
+                        "corpus case {case} differs at {threads} threads, {sched:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -354,48 +510,20 @@ fn corpus_never_panics_or_poisons_the_parallel_pool() {
         sliced_resync_config(),
     ] {
         let (stream, encoded, _) = encode_clip(config, 4);
-        let mut rng = Rng::new(0xc0ffee);
-        for _ in 0..24 {
-            let cut = rng.gen_range(0..stream.len());
-            let clipped = stream[..cut].to_vec();
+        for (case, damaged) in corrupt_corpus(&stream).iter().enumerate() {
             let got = catch_unwind(AssertUnwindSafe(|| {
-                decode_arbitrary_parallel(&clipped, &pool)
+                decode_arbitrary_parallel(damaged, &pool)
             }));
             match got {
-                Ok(n) => assert!(n <= encoded.len(), "truncation at {cut} invented VOPs"),
-                Err(_) => panic!("parallel decoder panicked on truncation at byte {cut}"),
+                Ok(n) => assert!(n <= encoded.len(), "corpus case {case} invented VOPs"),
+                Err(_) => panic!("parallel decoder panicked on corpus case {case}"),
             }
-        }
-        for case in 0..30u32 {
-            let mut damaged = stream.clone();
-            for _ in 0..rng.gen_range(1usize..=4) {
-                let byte = rng.gen_range(0..damaged.len());
-                damaged[byte] ^= 1 << rng.gen_range(0u32..8);
-            }
-            let got = catch_unwind(AssertUnwindSafe(|| {
-                decode_arbitrary_parallel(&damaged, &pool)
-            }));
-            assert!(
-                got.is_ok(),
-                "parallel decoder panicked on corpus case {case}"
-            );
-        }
-        let mut rng = Rng::new(0x9a5ba9e);
-        for case in 0..16u32 {
-            let len = rng.gen_range(0usize..512);
-            let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
-            let got = catch_unwind(AssertUnwindSafe(|| decode_arbitrary_parallel(&buf, &pool)));
-            assert!(
-                got.is_ok(),
-                "parallel decoder panicked on garbage case {case}"
-            );
         }
     }
 
     // The pool survived the corpus: a clean decode on it still matches
-    // the sequential decoder bit for bit.
+    // the encoder's reconstruction bit for bit.
     let (clean, encoded, _) = encode_clip(sliced_resync_config(), 3);
-    let sequential = decode_clip(&clean);
     let mut mem = NullModel::new();
     let mut space = AddressSpace::new();
     let mut r = BitReader::new(&clean);
@@ -406,10 +534,10 @@ fn corpus_never_panics_or_poisons_the_parallel_pool() {
     while let Some(v) = dec.decode_next(&mut mem, &mut r).unwrap() {
         decoded.push(v);
     }
-    assert_eq!(dec.parallel_fallbacks(), 0, "clean stream fell back");
     assert_eq!(decoded.len(), encoded.len());
-    for (p, s) in decoded.iter().zip(&sequential) {
-        assert_eq!(p.planes.as_ref().unwrap().y, s.planes.as_ref().unwrap().y);
+    for (d, e) in decoded.iter().zip(&encoded) {
+        assert_eq!(d.stats.concealed_mbs, 0);
+        assert_eq!(d.planes.as_ref().unwrap().y, e.recon.as_ref().unwrap().y);
     }
 }
 
@@ -431,5 +559,38 @@ fn random_garbage_never_panics_the_decoder() {
         }
         let got = catch_unwind(AssertUnwindSafe(|| decode_arbitrary(&buf)));
         assert!(got.is_ok(), "decoder panicked on garbage case {case}");
+    }
+}
+
+#[test]
+fn oversized_vol_dimensions_are_rejected_before_allocation() {
+    // A hostile VOL header may declare any even size; the decoder must
+    // refuse anything above the cap instead of allocating frames for
+    // it, and the encoder must refuse to write such a stream.
+    for (width, height) in [
+        (MAX_DIMENSION + 16, 144),
+        (176, MAX_DIMENSION + 16),
+        (1 << 30, 1 << 30),
+    ] {
+        let vol = m4ps_codec::VolHeader {
+            vo_id: 0,
+            vol_id: 0,
+            width,
+            height,
+            binary_shape: false,
+            enhancement: false,
+        };
+        let mut w = m4ps_bitstream::BitWriter::new();
+        vol.write(&mut w);
+        let bytes = w.into_bytes();
+        let mut mem = NullModel::new();
+        let mut space = AddressSpace::new();
+        let mut r = BitReader::new(&bytes);
+        let got = VideoObjectDecoder::from_stream(&mut space, &mut mem, &mut r);
+        assert!(got.is_err(), "{width}x{height} VOL accepted");
+        assert!(VideoObjectDecoder::with_vol(&mut space, vol).is_err());
+        assert_eq!(space.allocated_bytes(), 0, "allocated before rejecting");
+        let coder = VideoObjectCoder::new(&mut space, width, height, EncoderConfig::fast_test());
+        assert!(coder.is_err(), "encoder accepted {width}x{height}");
     }
 }

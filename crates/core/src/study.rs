@@ -387,11 +387,13 @@ pub fn prepare_streams(
 
 /// Environment override for the decoder's slice-parallel worker count
 /// (the decode-side sibling of `M4PS_THREADS`). Unset, empty, invalid
-/// or `0` keeps decode on the legacy sequential path, so existing
-/// decode artifacts are unchanged unless a run opts in.
+/// or `0` decodes multi-slice VOPs on one worker, inline on the caller.
+/// Output is identical for every value; single-slice VOPs (the paper
+/// configuration) never use a pool.
 pub const DECODE_THREADS_ENV: &str = "M4PS_DECODE_THREADS";
 
-/// Worker count from [`DECODE_THREADS_ENV`]; `0` means sequential.
+/// Worker count from [`DECODE_THREADS_ENV`]; `0` means one worker on
+/// the caller.
 fn decode_threads_from_env() -> usize {
     std::env::var(DECODE_THREADS_ENV)
         .ok()
@@ -417,10 +419,10 @@ pub fn decode_study(
 
 /// [`decode_study`] with an explicit [`StudyConfig`]: a shared
 /// `config.pool` takes precedence, then `config.threads`, then the
-/// [`DECODE_THREADS_ENV`] override; all zero/unset means the legacy
-/// sequential decoder. Like the encoder this is a pure scheduling knob
-/// — reconstructions and session stats are identical for every value,
-/// and clean streams never fall back.
+/// [`DECODE_THREADS_ENV`] override; all zero/unset means one worker on
+/// the caller. Like the encoder this is a pure scheduling knob —
+/// reconstructions, session stats and counters are identical for every
+/// value.
 ///
 /// # Errors
 ///
@@ -544,7 +546,7 @@ mod tests {
     #[test]
     fn parallel_decode_study_matches_sequential_session() {
         // Multi-slice streams decoded on the pool: same VOPs, same
-        // decoded stats, no fallbacks — and the pooled counters are
+        // decoded stats, same counters — and the pooled counters are
         // deterministic run to run.
         let w = tiny_workload();
         let cfg = StudyConfig::fast().with_parallel(3, 2);
@@ -554,7 +556,7 @@ mod tests {
         let par = decode_study_with(&MachineSpec::o2(), &w, &streams, &cfg).unwrap();
         assert_eq!(par.session.vops, seq.session.vops);
         assert_eq!(par.session.totals, seq.session.totals);
-        assert_eq!(par.metrics.counters.loads, seq.metrics.counters.loads);
+        assert_eq!(par.metrics.counters, seq.metrics.counters);
         let again = decode_study_with(&MachineSpec::o2(), &w, &streams, &cfg).unwrap();
         assert_eq!(par.metrics.counters, again.metrics.counters);
         // A shared pool works too and survives for the next study.

@@ -1,272 +1,40 @@
-//! Zero-dependency scoped thread pool for slice-parallel coding.
+//! Zero-dependency persistent work-stealing pool for slice-parallel
+//! coding.
 //!
 //! The paper's central finding is that MPEG-4 coding is compute-bound
 //! (99.9% L1 hit rate, <2% of bus bandwidth), so the route to "as fast
 //! as the hardware allows" is thread-level parallelism, not wider
-//! memory. This crate provides the minimal scheduling substrate: a
-//! scoped fork/join pool built only on `std::thread::scope` and
-//! `std::sync::mpsc` channels, preserving the workspace's registry-free
-//! invariant (`tests/hermetic.rs`).
+//! memory. This crate provides the scheduling substrate,
+//! [`WorkerPool`], built only on `std` threads, mutexes and condition
+//! variables, preserving the workspace's registry-free invariant
+//! (`tests/hermetic.rs`).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Determinism is the caller's job, scheduling is ours.** The pool
-//!    never influences *what* is computed — callers submit a fixed job
-//!    list and receive results in submission order, so output is
-//!    identical for any worker count (including 1).
-//! 2. **Scoped borrows.** Jobs may borrow from the caller's stack
-//!    (reference frames, config) because `run` fully joins before
-//!    returning.
-//! 3. **Panic propagation.** A panicking job panics the calling thread
-//!    after all workers have been joined; work is never silently lost.
-
-use std::sync::mpsc;
-use std::sync::Mutex;
+//!    never influences *what* is computed — callers build the same task
+//!    graph for every worker count (including 1), so output is
+//!    identical for any worker count.
+//! 2. **Scoped borrows.** Tasks may borrow from the caller's stack
+//!    (reference frames, config) because [`WorkerPool::scope`] waits
+//!    for every task before returning.
+//! 3. **Panic propagation.** A panicking task panics the scope owner
+//!    once the scope is quiescent; work is never silently lost.
 
 pub mod steal;
 
 pub use steal::{Scope, WorkerPool};
 
 /// Environment variable overriding the worker-thread count used by
-/// [`ThreadPool::from_env`]. Invalid or zero values fall back to the
+/// [`WorkerPool::from_env`]. Invalid or zero values fall back to the
 /// machine's available parallelism.
 pub const THREADS_ENV: &str = "M4PS_THREADS";
-
-/// Upper bound on worker threads; far above any slice count we split
-/// a VOP into, this only guards against absurd env values.
-const MAX_THREADS: usize = 256;
-
-/// A fixed-size pool of logical workers that executes batches of
-/// scoped jobs.
-///
-/// The pool is a value, not a set of parked OS threads: workers are
-/// spawned per [`run`](ThreadPool::run) call inside a
-/// [`std::thread::scope`] so jobs may borrow local state. For the
-/// sub-millisecond-to-millisecond jobs this workload produces (one
-/// macroblock-row slice of a VOP), spawn cost is dwarfed by the job
-/// body, and keeping no parked threads means no idle state to poison
-/// or leak between study runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Creates a pool with exactly `threads` workers (clamped to
-    /// `1..=256`).
-    pub fn new(threads: usize) -> Self {
-        ThreadPool {
-            threads: threads.clamp(1, MAX_THREADS),
-        }
-    }
-
-    /// Creates a pool sized from the `M4PS_THREADS` environment
-    /// variable, falling back to the machine's available parallelism
-    /// when unset or invalid.
-    pub fn from_env() -> Self {
-        Self::new(resolve_threads(std::env::var(THREADS_ENV).ok().as_deref()))
-    }
-
-    /// Serial pool: one worker, jobs run inline on the caller's thread.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
-    /// Number of workers this pool schedules onto.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every job and returns their results in submission order.
-    ///
-    /// Jobs are pulled from a shared channel-backed work queue by
-    /// `min(threads, jobs.len())` scoped workers, so an expensive job
-    /// does not stall the queue behind it. With one worker (or one
-    /// job) everything runs inline on the calling thread — no spawn,
-    /// no channels — which keeps the serial path zero-overhead and
-    /// trivially deterministic.
-    ///
-    /// # Panics
-    ///
-    /// If a job panics, the panic is propagated to the caller after
-    /// all workers have been joined (via [`std::thread::scope`]).
-    pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(jobs.len());
-        if workers <= 1 {
-            return jobs.into_iter().map(|job| job()).collect();
-        }
-
-        let n = jobs.len();
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-
-        // Pre-load the entire batch into the queue, then drop the
-        // sender so workers observe end-of-queue via disconnect. The
-        // queue lives outside the scope so workers may borrow it.
-        let (job_tx, job_rx) = mpsc::channel::<(usize, F)>();
-        for job in jobs.into_iter().enumerate() {
-            job_tx.send(job).expect("receiver lives on this stack");
-        }
-        drop(job_tx);
-        let queue = Mutex::new(job_rx);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, T)>();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let queue = &queue;
-                let res_tx = res_tx.clone();
-                s.spawn(move || loop {
-                    // Hold the queue lock only for the dequeue itself;
-                    // the job body runs lock-free.
-                    let next = match queue.lock() {
-                        Ok(rx) => rx.try_recv(),
-                        // A sibling panicked while dequeuing; stop
-                        // pulling work and let scope propagate.
-                        Err(_) => break,
-                    };
-                    match next {
-                        Ok((idx, job)) => {
-                            if res_tx.send((idx, job())).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // Collect whatever completed. If a worker panicked its
-            // result never arrives; the matching slot stays `None` and
-            // `scope` re-raises the worker's panic payload right after
-            // this closure returns, before the caller can observe the
-            // hole.
-            for (idx, value) in res_rx {
-                slots[idx] = Some(value);
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("scope propagates worker panics"))
-            .collect()
-    }
-
-    /// [`run`](ThreadPool::run) with observability: when `session` is
-    /// a profiler, every worker thread attaches to it for the batch
-    /// (so spans opened inside jobs land in per-thread profiles and
-    /// the Chrome trace shows real thread lanes), each job's queue
-    /// wait is recorded into the `slice_queue_wait_ns` histogram, and
-    /// the `pool_workers` gauge is set to the scheduled worker count.
-    ///
-    /// With `session = None` this is exactly `run`. Scheduling — and
-    /// therefore output — is byte-identical either way; the profiler
-    /// only observes.
-    ///
-    /// # Panics
-    ///
-    /// Job panics propagate exactly as in [`run`](ThreadPool::run).
-    pub fn run_profiled<T, F>(&self, jobs: Vec<F>, session: Option<&m4ps_obs::Profiler>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let Some(session) = session else {
-            return self.run(jobs);
-        };
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(jobs.len());
-        m4ps_obs::gauge_set(m4ps_obs::MetricId::PoolWorkers, workers as u64);
-        let batch_start = std::time::Instant::now();
-        if workers <= 1 {
-            // Inline on the caller, which is already attached (attach
-            // is reentrant, so the guard below is free if so).
-            let _g = session.attach();
-            return jobs
-                .into_iter()
-                .map(|job| {
-                    record_queue_wait(batch_start);
-                    job()
-                })
-                .collect();
-        }
-
-        let n = jobs.len();
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let (job_tx, job_rx) = mpsc::channel::<(usize, F)>();
-        for job in jobs.into_iter().enumerate() {
-            job_tx.send(job).expect("receiver lives on this stack");
-        }
-        drop(job_tx);
-        let queue = Mutex::new(job_rx);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, T)>();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let queue = &queue;
-                let res_tx = res_tx.clone();
-                s.spawn(move || {
-                    let _g = session.attach();
-                    loop {
-                        let next = match queue.lock() {
-                            Ok(rx) => rx.try_recv(),
-                            Err(_) => break,
-                        };
-                        match next {
-                            Ok((idx, job)) => {
-                                record_queue_wait(batch_start);
-                                if res_tx.send((idx, job())).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            for (idx, value) in res_rx {
-                slots[idx] = Some(value);
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("scope propagates worker panics"))
-            .collect()
-    }
-}
-
-/// Records how long a job sat in the queue: dequeue time minus batch
-/// submission. The first job a worker pulls measures spawn + schedule
-/// latency; later pulls measure genuine queueing behind running jobs.
-fn record_queue_wait(batch_start: std::time::Instant) {
-    let wait = u64::try_from(batch_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    m4ps_obs::histogram_record(m4ps_obs::MetricId::SliceQueueWaitNs, wait);
-}
-
-impl Default for ThreadPool {
-    /// Equivalent to [`ThreadPool::from_env`].
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
 
 /// Resolves a worker count from an optional `M4PS_THREADS` value:
 /// a positive integer wins; anything else falls back to the machine's
 /// available parallelism (1 if unknown).
 ///
-/// Split out from [`ThreadPool::from_env`] so tests can cover the
+/// Split out from [`WorkerPool::from_env`] so tests can cover the
 /// parsing rules without mutating process-global environment state.
 pub fn resolve_threads(env_value: Option<&str>) -> usize {
     if let Some(v) = env_value {
@@ -284,163 +52,6 @@ pub fn resolve_threads(env_value: Option<&str>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn empty_job_list_returns_empty() {
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let out: Vec<u32> = pool.run(Vec::<fn() -> u32>::new());
-            assert!(out.is_empty());
-        }
-    }
-
-    #[test]
-    fn results_are_in_submission_order() {
-        for threads in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let jobs: Vec<_> = (0..17u64)
-                .map(|i| {
-                    move || {
-                        // Skew job cost so completion order differs
-                        // from submission order under real parallelism.
-                        let spin = (17 - i) * 1000;
-                        let mut acc = i;
-                        for k in 0..spin {
-                            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                        }
-                        std::hint::black_box(acc);
-                        i * i
-                    }
-                })
-                .collect();
-            let out = pool.run(jobs);
-            let expect: Vec<u64> = (0..17).map(|i| i * i).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn jobs_may_borrow_caller_state() {
-        let data: Vec<u64> = (0..100).collect();
-        let pool = ThreadPool::new(4);
-        let chunks: Vec<&[u64]> = data.chunks(7).collect();
-        let jobs: Vec<_> = chunks
-            .iter()
-            .map(|c| move || c.iter().sum::<u64>())
-            .collect();
-        let total: u64 = pool.run(jobs).into_iter().sum();
-        assert_eq!(total, data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn every_job_runs_exactly_once() {
-        static RUNS: AtomicUsize = AtomicUsize::new(0);
-        RUNS.store(0, Ordering::SeqCst);
-        let pool = ThreadPool::new(3);
-        let jobs: Vec<_> = (0..50)
-            .map(|_| || RUNS.fetch_add(1, Ordering::SeqCst))
-            .collect();
-        let out = pool.run(jobs);
-        assert_eq!(out.len(), 50);
-        assert_eq!(RUNS.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn panic_propagates_to_caller_serial() {
-        let pool = ThreadPool::new(1);
-        let caught = std::panic::catch_unwind(|| {
-            pool.run(vec![
-                Box::new(|| 1u32) as Box<dyn FnOnce() -> u32 + Send>,
-                { Box::new(|| panic!("slice job failed")) },
-            ]);
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn panic_propagates_to_caller_parallel() {
-        let pool = ThreadPool::new(4);
-        let caught = std::panic::catch_unwind(|| {
-            let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..8u32)
-                .map(|i| {
-                    Box::new(move || {
-                        if i == 5 {
-                            panic!("slice job failed");
-                        }
-                        i
-                    }) as Box<dyn FnOnce() -> u32 + Send>
-                })
-                .collect();
-            pool.run(jobs);
-        });
-        assert!(caught.is_err(), "worker panic must reach the caller");
-    }
-
-    #[test]
-    fn thread_count_clamped() {
-        assert_eq!(ThreadPool::new(0).threads(), 1);
-        assert_eq!(ThreadPool::new(9999).threads(), 256);
-        assert_eq!(ThreadPool::serial().threads(), 1);
-    }
-
-    #[test]
-    fn run_profiled_matches_run_and_records_queue_waits() {
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let mk_jobs = || (0..8u64).map(|i| move || i * 3).collect::<Vec<_>>();
-            let plain = pool.run(mk_jobs());
-
-            let session = m4ps_obs::Profiler::new(false);
-            let profiled = pool.run_profiled(mk_jobs(), Some(&session));
-            assert_eq!(plain, profiled, "threads={threads}");
-
-            // Every dequeue recorded a wait observation, and the gauge
-            // carries the scheduled worker count.
-            let jsonl = session.metrics_jsonl();
-            let waits = jsonl
-                .lines()
-                .map(|l| m4ps_testkit::json::Json::parse(l).expect("valid JSONL line"))
-                .find(|d| d.get("metric").and_then(|m| m.as_str()) == Some("slice_queue_wait_ns"))
-                .expect("queue-wait histogram present");
-            assert_eq!(
-                waits.get("count").and_then(|c| c.as_f64()),
-                Some(8.0),
-                "threads={threads}"
-            );
-
-            // And None routes through the plain path.
-            let unprofiled: Vec<u64> = pool.run_profiled(mk_jobs(), None);
-            assert_eq!(plain, unprofiled);
-        }
-    }
-
-    #[test]
-    fn run_profiled_workers_flush_span_profiles() {
-        let pool = ThreadPool::new(4);
-        let session = m4ps_obs::Profiler::new(false);
-        let jobs: Vec<_> = (0..6u64)
-            .map(|i| {
-                move || {
-                    // Simulate a slice job wrapping a forked counter
-                    // stream: a domain span with a synthetic delta.
-                    let end = m4ps_obs::Counters {
-                        loads: i + 1,
-                        ..m4ps_obs::Counters::default()
-                    };
-                    m4ps_obs::enter_domain(m4ps_obs::Phase::Slice, m4ps_obs::Counters::default());
-                    m4ps_obs::exit_domain(m4ps_obs::Phase::Slice, end);
-                    i
-                }
-            })
-            .collect();
-        let out = pool.run_profiled(jobs, Some(&session));
-        assert_eq!(out, (0..6).collect::<Vec<_>>());
-        let prof = session.profile();
-        let slice = prof.get(m4ps_obs::Phase::Slice);
-        assert_eq!(slice.entries, 6);
-        assert_eq!(slice.counters.loads, (1..=6).sum::<u64>());
-    }
 
     #[test]
     fn resolve_threads_parses_and_falls_back() {

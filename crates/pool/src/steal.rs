@@ -1,9 +1,8 @@
 //! Persistent work-stealing scheduler for wavefront (MB-row) tasks.
 //!
-//! [`ThreadPool`](crate::ThreadPool) spawns workers per batch, which is
-//! fine for a handful of coarse slice jobs but wrong for wavefront
-//! scheduling: one VOP decomposes into dozens of macroblock-row tasks
-//! whose continuations are spawned *while the batch runs*, and a study
+//! Spawning workers per batch would be wrong for wavefront scheduling:
+//! one VOP decomposes into dozens of macroblock-row tasks whose
+//! continuations are spawned *while the batch runs*, and a study
 //! encodes hundreds of VOPs. [`WorkerPool`] therefore keeps its workers
 //! parked between scopes:
 //!
@@ -28,7 +27,7 @@
 //!
 //! Scheduling never influences *what* is computed — callers own
 //! determinism by constructing identical task graphs for every worker
-//! count, exactly as with [`ThreadPool`](crate::ThreadPool).
+//! count.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -42,7 +41,8 @@ use m4ps_obs::{EventKind, Profiler, Recorder};
 
 use crate::{resolve_threads, THREADS_ENV};
 
-/// Upper bound on workers, mirroring [`crate::ThreadPool`].
+/// Upper bound on workers; far above any slice count a VOP is split
+/// into, this only guards against absurd `M4PS_THREADS` values.
 const MAX_THREADS: usize = 256;
 
 thread_local! {
@@ -365,8 +365,8 @@ impl WorkerPool {
         }
     }
 
-    /// Pool sized from `M4PS_THREADS`, like
-    /// [`ThreadPool::from_env`](crate::ThreadPool::from_env).
+    /// Pool sized from `M4PS_THREADS` (see
+    /// [`resolve_threads`](crate::resolve_threads)).
     pub fn from_env() -> Self {
         Self::new(resolve_threads(std::env::var(THREADS_ENV).ok().as_deref()))
     }

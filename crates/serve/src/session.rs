@@ -349,16 +349,6 @@ impl<M: ParallelModel> Session<M> {
         self.space.allocated_bytes()
     }
 
-    /// VOPs a decode session re-decoded sequentially after a parallel
-    /// attempt aborted (always 0 on clean streams; 0 for encode
-    /// sessions).
-    pub fn parallel_fallbacks(&self) -> u64 {
-        match &self.work {
-            Work::Encode(_) => 0,
-            Work::Decode(w) => w.decs.iter().map(|d| d.parallel_fallbacks()).sum(),
-        }
-    }
-
     /// Consumes the finished session, returning its elementary streams
     /// (empty for decode sessions, which replay rather than produce),
     /// statistics and counters.
@@ -429,7 +419,6 @@ mod tests {
             cost += s.step().unwrap();
         }
         assert_eq!(s.frames_done(), 3);
-        assert_eq!(s.parallel_fallbacks(), 0, "clean replay fell back");
         let (streams_out, stats, _) = s.into_output();
         assert!(streams_out.is_empty(), "decode sessions produce no streams");
         assert_eq!(stats.frames, 3);

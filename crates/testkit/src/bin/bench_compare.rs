@@ -5,9 +5,9 @@
 //! ```text
 //! bench_compare <baseline.json> <fresh.json> [--max-regress <pct>] [--min-scaling <x>]
 //!               [--max-obs-overhead <pct>] [--max-rec-overhead <pct>]
-//!               [--max-decode-overhead <pct>] [--phases <file>]
+//!               [--phases <file>]
 //! bench_compare --scaling <fresh.json> [--min-scaling <x>] [--max-obs-overhead <pct>]
-//!               [--max-rec-overhead <pct>] [--max-decode-overhead <pct>] [--phases <file>]
+//!               [--max-rec-overhead <pct>] [--phases <file>]
 //! ```
 //!
 //! Exit status 0 when every shared benchmark is within budget, 1 on
@@ -22,10 +22,7 @@
 //! CI runner cannot show parallel speedup, only bounded overhead):
 //! ≥4 cores → 2.0×, 2–3 cores → 1.0×, 1 core → 0.8×. `--scaling` runs
 //! the scaling report alone against one file, no baseline needed. The
-//! `parallel/decode_frame/threads=N` series is gated the same way, and
-//! its `threads=seq` entry (the legacy no-pool decoder) additionally
-//! bounds the slice-parallel construction's 1-worker overhead
-//! (`--max-decode-overhead`, default +2%).
+//! `parallel/decode_frame/threads=N` series is gated the same way.
 //!
 //! When the fresh file contains the `parallel/encode_frame/obs={off,on}`
 //! pair, the installed-profiler overhead is gated too (default ceiling
@@ -43,9 +40,7 @@ const DEFAULT_MAX_REGRESS_PCT: f64 = 25.0;
 /// The benchmark series the encode scaling gate reads.
 const SCALING_SERIES: &str = "parallel/encode_frame/threads=";
 
-/// The benchmark series the decode scaling gate reads; the extra
-/// `threads=seq` entry in the same series is the legacy no-pool
-/// decoder, gated against `threads=1` by the decode-overhead check.
+/// The benchmark series the decode scaling gate reads.
 const DECODE_SCALING_SERIES: &str = "parallel/decode_frame/threads=";
 
 /// The benchmark pair the profiler-overhead gate reads.
@@ -68,13 +63,6 @@ const DEFAULT_MAX_OBS_OVERHEAD_PCT: f64 = 8.0;
 /// per-thread lock — single digits even on a starved runner; 8%
 /// catches an accidentally hot (per-macroblock) record site.
 const DEFAULT_MAX_REC_OVERHEAD_PCT: f64 = 8.0;
-
-/// Ceiling for the slice-parallel decode construction on a single
-/// worker vs the legacy sequential decoder (threads=1 vs threads=seq).
-/// The delta is the resync pre-scan (a byte-aligned marker sweep over
-/// the VOP payload), the model forks/absorbs and one pool round trip —
-/// all boundable work that must stay in the noise.
-const DEFAULT_MAX_DECODE_OVERHEAD_PCT: f64 = 2.0;
 
 /// `(name, median_ns)` rows plus the report's `meta.kernel_tier` tag
 /// (reports from before the tag carry `None`).
@@ -186,38 +174,6 @@ fn check_decode_scaling(
     check_series_scaling(medians, DECODE_SCALING_SERIES, min_scaling)
 }
 
-/// Gates the cost of the slice-parallel decode construction itself:
-/// `parallel/decode_frame/threads=1` may exceed `threads=seq` (the
-/// legacy no-pool decoder) by at most `max_pct` percent. Returns
-/// `Ok(None)` when either entry is absent.
-fn check_decode_overhead(medians: &[(String, f64)], max_pct: f64) -> Result<Option<bool>, String> {
-    let median_of = |label: &str| {
-        let name = format!("{DECODE_SCALING_SERIES}{label}");
-        medians
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, m)| m)
-            .filter(|&m| m > 0.0)
-    };
-    let (Some(seq), Some(one)) = (median_of("seq"), median_of("1")) else {
-        return Ok(None);
-    };
-    let overhead_pct = (one / seq - 1.0) * 100.0;
-    println!(
-        "decode parallel-construction overhead (threads=1 vs seq): \
-         {seq:.0} -> {one:.0} ns ({overhead_pct:+.1}%, ceiling +{max_pct}%)"
-    );
-    if overhead_pct > max_pct {
-        println!(
-            "OVERHEAD REGRESSED: slice-parallel decode on one worker costs \
-             {overhead_pct:+.1}% over the sequential decoder (> +{max_pct}%)"
-        );
-        Ok(Some(false))
-    } else {
-        Ok(Some(true))
-    }
-}
-
 /// Gates an on-vs-off overhead pair: the `{series}on` median may exceed
 /// the `{series}off` median by at most `max_pct` percent. Returns
 /// `Ok(None)` when the pair is absent.
@@ -308,7 +264,6 @@ fn run() -> Result<bool, String> {
     let mut min_scaling = default_min_scaling();
     let mut max_obs_overhead_pct = DEFAULT_MAX_OBS_OVERHEAD_PCT;
     let mut max_rec_overhead_pct = DEFAULT_MAX_REC_OVERHEAD_PCT;
-    let mut max_decode_overhead_pct = DEFAULT_MAX_DECODE_OVERHEAD_PCT;
     let mut phases_path: Option<String> = None;
     let scaling_only = first == "--scaling";
     let (baseline_path, fresh_path) = if scaling_only {
@@ -349,13 +304,6 @@ fn run() -> Result<bool, String> {
                     .parse()
                     .map_err(|e| format!("--max-rec-overhead: {e}"))?;
             }
-            "--max-decode-overhead" => {
-                max_decode_overhead_pct = args
-                    .next()
-                    .ok_or("--max-decode-overhead needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-decode-overhead: {e}"))?;
-            }
             "--phases" => {
                 phases_path = Some(args.next().ok_or("--phases needs a <file>")?);
             }
@@ -374,13 +322,12 @@ fn run() -> Result<bool, String> {
             }
         };
         let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-        let decode_ovh_ok = check_decode_overhead(&fresh, max_decode_overhead_pct)?.unwrap_or(true);
         let obs_ok = check_obs_overhead(&fresh, max_obs_overhead_pct)?.unwrap_or(true);
         let rec_ok = check_rec_overhead(&fresh, max_rec_overhead_pct)?.unwrap_or(true);
         if let Some(phases) = &phases_path {
             print_top_stall_phases(phases)?;
         }
-        return Ok(pass && decode_ok && decode_ovh_ok && obs_ok && rec_ok);
+        return Ok(pass && decode_ok && obs_ok && rec_ok);
     }
     let baseline_path = baseline_path.expect("set in non-scaling mode");
     let (baseline, base_tier) = load_medians(&baseline_path)?;
@@ -400,14 +347,12 @@ fn run() -> Result<bool, String> {
             );
             let scaling_ok = check_scaling(&fresh, min_scaling)?.unwrap_or(true);
             let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-            let decode_ovh_ok =
-                check_decode_overhead(&fresh, max_decode_overhead_pct)?.unwrap_or(true);
             let obs_ok = check_obs_overhead(&fresh, max_obs_overhead_pct)?.unwrap_or(true);
             let rec_ok = check_rec_overhead(&fresh, max_rec_overhead_pct)?.unwrap_or(true);
             if let Some(phases) = &phases_path {
                 print_top_stall_phases(phases)?;
             }
-            return Ok(scaling_ok && decode_ok && decode_ovh_ok && obs_ok && rec_ok);
+            return Ok(scaling_ok && decode_ok && obs_ok && rec_ok);
         }
     }
 
@@ -456,12 +401,8 @@ fn run() -> Result<bool, String> {
     // per-bench regression check alone can miss a broken parallel path
     // whose threads=1 and threads=4 medians both drift within budget.
     let scaling_ok = check_scaling(&fresh, min_scaling)?.unwrap_or(true);
-    // The decode mirror: same floor, same reasoning — plus the
-    // construction-overhead gate (threads=1 vs the legacy sequential
-    // decoder), which bounds what slice pre-scan + forks + dispatch may
-    // cost a 1-worker decode.
+    // The decode mirror: same floor, same reasoning.
     let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-    let decode_ovh_ok = check_decode_overhead(&fresh, max_decode_overhead_pct)?.unwrap_or(true);
     // Likewise for the profiler-overhead pair: instrumentation that gets
     // more expensive is a regression even if both medians drift within
     // the per-bench budget.
@@ -472,7 +413,7 @@ fn run() -> Result<bool, String> {
     if let Some(phases) = &phases_path {
         print_top_stall_phases(phases)?;
     }
-    Ok(regressions == 0 && scaling_ok && decode_ok && decode_ovh_ok && obs_ok && rec_ok)
+    Ok(regressions == 0 && scaling_ok && decode_ok && obs_ok && rec_ok)
 }
 
 fn main() -> ExitCode {

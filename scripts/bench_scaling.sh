@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Thread-scaling bench: run the parallel/encode_frame/threads=N and
-# parallel/decode_frame/threads={seq,N} series, write BENCH_scaling.json
-# at the repo root, and print the speedup tables via `bench_compare
+# parallel/decode_frame/threads=N series, write BENCH_scaling.json at
+# the repo root, and print the speedup tables via `bench_compare
 # --scaling` (which also enforces the machine-aware threads=4 speedup
-# floors — encode and decode — and the decode construction-overhead
-# ceiling; override the floor with M4PS_MIN_SCALING=<x>).
+# floors, encode and decode; override the floor with
+# M4PS_MIN_SCALING=<x>).
 #
 # Offline like everything else; CI uploads BENCH_scaling.json as an
 # artifact next to BENCH_smoke.json.

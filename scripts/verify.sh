@@ -9,9 +9,7 @@
 # fails, the parallel/encode_frame and parallel/decode_frame
 # thread-scaling speedups must clear bench_compare's machine-aware
 # floor (>=2x at threads=4 on a >=4-core machine; starved runners only
-# bound pool overhead), and the slice-parallel decode construction may
-# cost at most +2% on one worker vs the legacy sequential decoder
-# (threads=1 vs threads=seq). Set M4PS_BENCH_SKIP_COMPARE=1 to
+# bound pool overhead). Set M4PS_BENCH_SKIP_COMPARE=1 to
 # regenerate the baseline on a machine where the committed numbers
 # don't apply.
 
