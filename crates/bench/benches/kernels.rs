@@ -11,10 +11,12 @@ use m4ps_codec::{
     ArithDecoder, ArithEncoder, ContextModel, EncoderConfig, FrameView, VideoObjectCoder,
 };
 use m4ps_dsp::{
-    forward_dct, forward_dct_int, inverse_dct, inverse_dct_int, quantize_intra, sad_16x16,
-    sad_16x16_with_cutoff, scan_zigzag, Block, HalfPel, Kernels,
+    forward_dct, inverse_dct, quantize_intra, sad_16x16, sad_16x16_with_cutoff, scan_zigzag, Block,
+    HalfPel, Kernels,
 };
-use m4ps_memsim::{AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, SimBuf};
+use m4ps_memsim::{
+    AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, SearchCandidate, SimBuf,
+};
 use m4ps_testkit::bench::{black_box, BenchRunner};
 
 fn bench_dct(r: &mut BenchRunner) {
@@ -25,8 +27,6 @@ fn bench_dct(r: &mut BenchRunner) {
     r.bench("dct/forward_8x8", || forward_dct(black_box(&b)));
     let coefs = forward_dct(&b);
     r.bench("dct/inverse_8x8", || inverse_dct(black_box(&coefs)));
-    r.bench("dct/forward_8x8_int", || forward_dct_int(black_box(&b)));
-    r.bench("dct/inverse_8x8_int", || inverse_dct_int(black_box(&coefs)));
     r.bench("dct/quantize_intra", || {
         quantize_intra(black_box(&coefs), 8)
     });
@@ -251,19 +251,19 @@ fn bench_memsim(r: &mut BenchRunner) {
     }
 }
 
-/// Records the load spans a memory model is handed as batches (and
-/// nothing else): the reference stream of one motion search.
+/// Records the candidate batches a memory model is handed (and nothing
+/// else): the reference stream of one motion search.
 #[derive(Default)]
 struct SpanRecorder {
-    spans: Vec<(u64, u64)>,
+    batch: Vec<SearchCandidate>,
     counters: m4ps_memsim::Counters,
 }
 
 impl MemModel for SpanRecorder {
     fn access_range(&mut self, _addr: u64, _len: u64, _kind: AccessKind, _arch_ops: u64) {}
 
-    fn access_loads(&mut self, spans: &[(u64, u64)]) {
-        self.spans.extend_from_slice(spans);
+    fn access_candidates(&mut self, batch: &[SearchCandidate]) {
+        self.batch.extend_from_slice(batch);
     }
 
     fn prefetch(&mut self, _addr: u64) {}
@@ -275,10 +275,11 @@ impl MemModel for SpanRecorder {
     }
 }
 
-/// The motion-search charging pair: the span stream of one PAL ±8
-/// integer full search (the paper's window) charged as one
-/// `access_loads` batch vs one `access_range` per span, both on a
-/// persistent O2 hierarchy. Only the charging is timed.
+/// The motion-search charging pair: the candidate batch of one PAL ±8
+/// integer full search (the paper's window) charged through
+/// `access_candidates` vs its expansion charged as one `access_range`
+/// per span, both on a persistent O2 hierarchy. Only the charging is
+/// timed.
 fn bench_search_charging(r: &mut BenchRunner) {
     use m4ps_codec::{MotionSearch, SearchStrategy, TracedPlane};
     use m4ps_memsim::NullModel;
@@ -302,12 +303,16 @@ fn bench_search_charging(r: &mut BenchRunner) {
     let mut rec = SpanRecorder::default();
     let search = MotionSearch::new(SearchStrategy::FullSearch, 8, false);
     let _ = search.search(&mut rec, &cur, &reference, 20, 18);
-    let spans = rec.spans;
+    let batch = rec.batch;
+    let mut spans = Vec::new();
+    for c in &batch {
+        c.for_each_span(|addr, len| spans.push((addr, len)));
+    }
     let bytes: u64 = spans.iter().map(|&(_, len)| len).sum();
 
     let mut h = Hierarchy::new(MachineSpec::o2());
     r.bench_bytes("memsim/search_batch", bytes, || {
-        h.access_loads(black_box(&spans));
+        h.access_candidates(black_box(&batch));
     });
     let mut h = Hierarchy::new(MachineSpec::o2());
     r.bench_bytes("memsim/search_rows", bytes, || {

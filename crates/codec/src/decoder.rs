@@ -556,6 +556,8 @@ fn decode_mb_layer<M: ParallelModel>(
         };
         let vop = r.bounded(vop_end);
         let starts = prescan_slice_starts(&vop, &slice_rows, mbx_range.len(), mby_range.start);
+        #[cfg(test)]
+        tests::check_prescan(&vop, &slice_rows, mbx_range.len(), mby_range.start, &starts);
         if header.resync_interval.is_none() && starts.contains(&None) {
             return Err(CodecError::InvalidStream("slice header mismatch"));
         }
@@ -646,6 +648,14 @@ fn decode_mb_layer<M: ParallelModel>(
 /// was found (the next slice is then searched from the last located
 /// header).
 ///
+/// Work is bounded per input byte: one pass collects every marker whose
+/// fields parse as *some* slice's first macroblock, then each slice
+/// takes the first of its own markers past the previous located header
+/// by binary search. The marker word cannot overlap itself (its two
+/// bytes differ), so the one pass finds exactly the markers a scan
+/// started at any later position would, and a marker's fields parse the
+/// same whichever scan finds it.
+///
 /// The scan reads raw bytes through reader clones and charges nothing:
 /// like the encoder's slice partition it is scheduling metadata, not
 /// modelled codec traffic (the slice tasks charge every stream byte
@@ -656,30 +666,39 @@ fn prescan_slice_starts(
     mbx_len: usize,
     mby_start: usize,
 ) -> Vec<Option<(u64, u64)>> {
+    let expected: Vec<usize> = slice_rows[1..]
+        .iter()
+        .map(|rows| (rows.start - mby_start) * mbx_len)
+        .collect();
+    // `(first macroblock, header start, payload start)`.
+    let mut markers = Vec::new();
+    let mut probe = r.clone();
+    while probe.scan_aligned_u16(RESYNC_MARKER) {
+        let mut fields = probe.clone();
+        let Ok(idx) = get_ue(&mut fields).map(|v| v as usize) else {
+            continue;
+        };
+        if expected.binary_search(&idx).is_ok() && fields.get_bits(5).is_ok() {
+            markers.push((idx, probe.bit_pos() - 16, fields.bit_pos()));
+        }
+    }
+    #[cfg(test)]
+    tests::count_marker_pass(r.bit_pos(), probe.bit_pos());
+    // Group by index, in stream order within each index.
+    markers.sort_unstable();
+
     let mut starts = Vec::with_capacity(slice_rows.len());
     starts.push(Some((r.bit_pos(), r.bit_pos())));
-    let mut from = r.clone();
-    for rows in &slice_rows[1..] {
-        let expected = (rows.start - mby_start) * mbx_len;
-        let mut probe = from.clone();
-        let found = loop {
-            if !probe.scan_aligned_u16(RESYNC_MARKER) {
-                break None;
-            }
-            let mut fields = probe.clone();
-            let idx = get_ue(&mut fields).ok().map(|v| v as usize);
-            if idx == Some(expected) && fields.get_bits(5).is_ok() {
-                break Some(fields);
-            }
-            // A smaller index (in-slice marker) or a payload alias:
-            // keep scanning forward.
-        };
-        starts.push(found.map(|payload| {
-            let start = (probe.bit_pos() - 16, payload.bit_pos());
+    let mut from = r.bit_pos();
+    for &idx in &expected {
+        let lo = markers.partition_point(|m| m.0 < idx);
+        let own = &markers[lo..markers.partition_point(|m| m.0 <= idx)];
+        let found = own.get(own.partition_point(|m| m.1 < from));
+        starts.push(found.map(|&(_, header, payload)| {
             // The next header lies past this one's fields, so every
             // slice's payload precedes the next slice's start.
             from = payload;
-            start
+            (header, payload)
         }));
     }
     starts
@@ -1368,4 +1387,201 @@ fn decode_b_mb<M: MemModel, F: FrameSink>(
     )?;
     stats.inter_mbs += 1;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EncoderConfig, FrameView, VideoObjectCoder};
+    use m4ps_memsim::NullModel;
+    use m4ps_testkit::Rng;
+    use m4ps_vidgen::{Resolution, Scene, SceneSpec};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `(marker passes, bytes they scanned)` on this thread.
+        static MARKER_PASSES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Records one marker pass of the pre-scan over bits `from..to`.
+    pub(super) fn count_marker_pass(from: u64, to: u64) {
+        MARKER_PASSES.with(|p| {
+            let (n, bytes) = p.get();
+            p.set((n + 1, bytes + (to - from) / 8));
+        });
+    }
+
+    /// The pre-scan as it was first written, kept as the reference: for
+    /// each slice, scan forward from the last located header, one marker
+    /// at a time. O(slices × VOP bytes) when headers are missing.
+    fn prescan_rescan(
+        r: &BitReader<'_>,
+        slice_rows: &[Range<usize>],
+        mbx_len: usize,
+        mby_start: usize,
+    ) -> Vec<Option<(u64, u64)>> {
+        let mut starts = Vec::with_capacity(slice_rows.len());
+        starts.push(Some((r.bit_pos(), r.bit_pos())));
+        let mut from = r.clone();
+        for rows in &slice_rows[1..] {
+            let expected = (rows.start - mby_start) * mbx_len;
+            let mut probe = from.clone();
+            let found = loop {
+                if !probe.scan_aligned_u16(RESYNC_MARKER) {
+                    break None;
+                }
+                let mut fields = probe.clone();
+                let idx = get_ue(&mut fields).ok().map(|v| v as usize);
+                if idx == Some(expected) && fields.get_bits(5).is_ok() {
+                    break Some(fields);
+                }
+            };
+            starts.push(found.map(|payload| {
+                let start = (probe.bit_pos() - 16, payload.bit_pos());
+                from = payload;
+                start
+            }));
+        }
+        starts
+    }
+
+    /// Called by every pre-scan in test builds: the starts must equal
+    /// the reference algorithm's.
+    pub(super) fn check_prescan(
+        r: &BitReader<'_>,
+        slice_rows: &[Range<usize>],
+        mbx_len: usize,
+        mby_start: usize,
+        starts: &[Option<(u64, u64)>],
+    ) {
+        let reference = prescan_rescan(r, slice_rows, mbx_len, mby_start);
+        assert_eq!(starts, &reference[..], "pre-scan diverged from the rescan");
+    }
+
+    /// Encodes `frames` frames of `res` (a synthetic scene) into one
+    /// elementary stream, returning it and each VOP's byte range.
+    fn encode(
+        res: Resolution,
+        config: EncoderConfig,
+        frames: usize,
+    ) -> (Vec<u8>, Vec<Range<usize>>) {
+        let scene = Scene::new(SceneSpec {
+            resolution: res,
+            objects: 1,
+            seed: 77,
+        });
+        let mut space = AddressSpace::new();
+        let mut mem = NullModel::new();
+        let mut coder = VideoObjectCoder::new(&mut space, res.width, res.height, config).unwrap();
+        let mut stream = coder.header_bytes();
+        let mut vops = Vec::new();
+        for t in 0..frames {
+            let f = scene.frame(t);
+            let view = FrameView {
+                width: res.width,
+                height: res.height,
+                y: &f.y,
+                u: &f.u,
+                v: &f.v,
+            };
+            for vop in coder.encode_frame(&mut mem, &view, None).unwrap() {
+                vops.push(stream.len()..stream.len() + vop.bytes.len());
+                stream.extend_from_slice(&vop.bytes);
+            }
+        }
+        (stream, vops)
+    }
+
+    /// Decodes as much of `stream` as decodes; returns the stats of each
+    /// decoded VOP.
+    fn decode(stream: &[u8]) -> Vec<VopStats> {
+        let mut mem = NullModel::new();
+        let mut space = AddressSpace::new();
+        let mut r = BitReader::new(stream);
+        let Ok(mut dec) = VideoObjectDecoder::from_stream(&mut space, &mut mem, &mut r) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        while let Ok(Some(v)) = dec.decode_next(&mut mem, &mut r) {
+            out.push(v.stats);
+        }
+        out
+    }
+
+    fn resync_config(slices: usize) -> EncoderConfig {
+        let mut c = EncoderConfig::fast_test().with_slices(slices);
+        c.resync_mb_interval = Some(23);
+        c
+    }
+
+    #[test]
+    fn prescan_matches_the_rescan_on_the_corrupt_corpus() {
+        // The damaged-stream corpus of the resilience suite: random
+        // truncations, 1–4 bit flips, and short garbage buffers, over a
+        // 3-slice QCIF stream. Every pre-scan the decodes make is
+        // checked against the rescan (`check_prescan`).
+        let (stream, _) = encode(Resolution::QCIF, resync_config(3), 4);
+        let mut corpus = vec![stream.clone()];
+        let mut rng = Rng::new(0xc0ffee);
+        for _ in 0..24 {
+            corpus.push(stream[..rng.gen_range(0..stream.len())].to_vec());
+        }
+        for _ in 0..30 {
+            let mut damaged = stream.clone();
+            for _ in 0..rng.gen_range(1usize..=4) {
+                let byte = rng.gen_range(0..damaged.len());
+                damaged[byte] ^= 1 << rng.gen_range(0u32..8);
+            }
+            corpus.push(damaged);
+        }
+        let mut rng = Rng::new(0x9a5ba9e);
+        for _ in 0..16 {
+            let len = rng.gen_range(0usize..512);
+            corpus.push((0..len).map(|_| rng.gen_range(0u32..256) as u8).collect());
+        }
+        MARKER_PASSES.with(|p| p.set((0, 0)));
+        for case in &corpus {
+            decode(case);
+        }
+        let (passes, _) = MARKER_PASSES.with(Cell::get);
+        assert!(passes > 4 * 20, "the corpus ran only {passes} pre-scans");
+    }
+
+    #[test]
+    fn prescan_work_is_one_pass_with_every_slice_header_damaged() {
+        // 64 slices of one macroblock row each, every slice header's
+        // marker broken: no slice after the first can be located. The
+        // rescan would scan the VOP once per slice; the pre-scan makes
+        // one pass over it (and agrees with the rescan).
+        let res = Resolution {
+            width: 64,
+            height: 64 * 16,
+        };
+        let (mut stream, vops) = encode(res, resync_config(64), 1);
+        let vop = vops[0].clone();
+        let slice_mbs = 4;
+        let headers: Vec<usize> = (vop.start..vop.end - 2)
+            .filter(|&p| {
+                stream[p] == 0x5a && stream[p + 1] == 0x3c && {
+                    let mut r = BitReader::new(&stream[p + 2..]);
+                    matches!(get_ue(&mut r), Ok(i) if i > 0 && (i as usize).is_multiple_of(slice_mbs))
+                }
+            })
+            .collect();
+        assert_eq!(headers.len(), 63);
+        for &p in &headers {
+            stream[p] ^= 0xff;
+        }
+        MARKER_PASSES.with(|p| p.set((0, 0)));
+        let stats = decode(&stream);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].concealed_mbs, 63 * slice_mbs as u64);
+        let (passes, bytes) = MARKER_PASSES.with(Cell::get);
+        assert_eq!(passes, 1, "one multi-slice VOP, one marker pass");
+        assert!(
+            bytes <= vop.len() as u64,
+            "the pass scanned {bytes} bytes of a {}-byte VOP",
+            vop.len()
+        );
+    }
 }

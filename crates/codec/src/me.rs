@@ -12,20 +12,15 @@
 use crate::config::SearchStrategy;
 use crate::plane::{TracedPlane, PAD};
 use crate::types::MotionVector;
-use m4ps_memsim::MemModel;
+use m4ps_memsim::{MemModel, SearchCandidate};
 use m4ps_obs::{span, MetricId, Phase};
 
 /// Per-pixel-row SAD compute cost (16 abs-diff-accumulate triples).
 const SAD_ROW_OPS: u64 = 48;
 
-/// Spans one batch may hold before it is charged early. A ±8 full
-/// search records at most 289 candidates × 16 rows × 2 spans; wider
-/// searches charge in several batches, which is just as exact.
-const MAX_BATCH_SPANS: usize = 1 << 14;
-
 /// The reference stream of a motion search, recorded for one
-/// [`MemModel::access_loads`] batch: the row spans in the order the
-/// per-row replay charged them, and the summed SAD compute ops. Kept in
+/// [`MemModel::access_candidates`] batch: one [`SearchCandidate`] per
+/// candidate, in search order, and the summed SAD compute ops. Kept in
 /// the slice scratch, so steady-state searches allocate nothing.
 ///
 /// Under a model that wants no batches ([`MemModel::wants_batches`],
@@ -33,41 +28,54 @@ const MAX_BATCH_SPANS: usize = 1 << 14;
 /// is replayed.
 #[derive(Debug, Default)]
 pub(crate) struct SearchCharges {
-    spans: Vec<(u64, u64)>,
+    batch: Vec<SearchCandidate>,
     ops: u64,
 }
 
 impl SearchCharges {
-    /// The traced read of `len` pixels of `plane`'s row `y` from `x`.
-    fn load_row<M: MemModel>(
+    /// Charges one candidate: the first `rows` rows of the `size`-wide
+    /// current block at `(bx, by)`, each followed by the reference row
+    /// it read, `ref_width` pixels from `(rx, ry)` downward (one row
+    /// further down with `lead_row`, which first reads row `ry` itself),
+    /// and `row_ops` compute instructions per row.
+    #[allow(clippy::too_many_arguments)]
+    fn candidate<M: MemModel>(
         &mut self,
         mem: &mut M,
-        plane: &TracedPlane,
-        x: isize,
-        y: isize,
-        len: usize,
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        (bx, by, size): (isize, isize, usize),
+        (rx, ry, ref_width): (isize, isize, usize),
+        rows: usize,
+        lead_row: bool,
+        row_ops: u64,
     ) {
-        if mem.wants_batches() {
-            self.spans.push(plane.row_span(x, y, len));
-        } else {
-            plane.touch_row_read(mem, x, y, len);
+        let lead = isize::from(lead_row);
+        if !mem.wants_batches() {
+            for row in 0..rows as isize {
+                cur.touch_row_read(mem, bx, by + row, size);
+                if lead_row && row == 0 {
+                    reference.touch_row_read(mem, rx, ry, ref_width);
+                }
+                reference.touch_row_read(mem, rx, ry + row + lead, ref_width);
+                mem.add_ops(row_ops);
+            }
+            return;
         }
-    }
-
-    /// `ops` compute instructions.
-    fn add_ops<M: MemModel>(&mut self, mem: &mut M, ops: u64) {
-        if mem.wants_batches() {
-            self.ops += ops;
-        } else {
-            mem.add_ops(ops);
+        if rows == 0 {
+            return;
         }
-    }
-
-    /// Ends a candidate: charges the batch early once it is full.
-    fn end_candidate<M: MemModel>(&mut self, mem: &mut M) {
-        if mem.wants_batches() && self.spans.len() >= MAX_BATCH_SPANS {
-            self.flush(mem);
-        }
+        assert_eq!(cur.stride(), reference.stride(), "planes differ in stride");
+        self.batch.push(SearchCandidate {
+            cur: cur.rows_addr(bx, by, size, rows),
+            reference: reference.rows_addr(rx, ry, ref_width, rows + lead as usize),
+            stride: cur.stride() as u64,
+            cur_width: size as u32,
+            ref_width: ref_width as u32,
+            rows: rows as u32,
+            lead_row,
+        });
+        self.ops += row_ops * rows as u64;
     }
 
     /// Charges everything recorded so far. Called before every profiler
@@ -77,9 +85,9 @@ impl SearchCharges {
         if !mem.wants_batches() {
             return;
         }
-        if !self.spans.is_empty() {
-            mem.access_loads(&self.spans);
-            self.spans.clear();
+        if !self.batch.is_empty() {
+            mem.access_candidates(&self.batch);
+            self.batch.clear();
         }
         if self.ops > 0 {
             mem.add_ops(self.ops);
@@ -165,12 +173,16 @@ impl MotionSearch {
             8 => (k.sad8_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
             _ => unreachable!("unsupported block size {size}"),
         };
-        for row in 0..rows as isize {
-            charges.load_row(mem, cur, bx, by + row, size);
-            charges.load_row(mem, reference, bx + dx, by + dy + row, size);
-            charges.add_ops(mem, SAD_ROW_OPS * size as u64 / 16);
-        }
-        charges.end_candidate(mem);
+        charges.candidate(
+            mem,
+            cur,
+            reference,
+            (bx, by, size),
+            (bx + dx, by + dy, size),
+            rows,
+            false,
+            SAD_ROW_OPS * size as u64 / 16,
+        );
         acc
     }
 
@@ -229,19 +241,16 @@ impl MotionSearch {
         // vertical fraction the first row reads reference rows `sy` and
         // `sy + 1` and every later row only the new bottom row; without
         // one, each row reads its own reference row.
-        for row in 0..rows as isize {
-            charges.load_row(mem, cur, bx, by + row, size);
-            if frac_y {
-                if row == 0 {
-                    charges.load_row(mem, reference, sx, sy, cols);
-                }
-                charges.load_row(mem, reference, sx, sy + row + 1, cols);
-            } else {
-                charges.load_row(mem, reference, sx, sy + row, cols);
-            }
-            charges.add_ops(mem, SAD_ROW_OPS * 2 * size as u64 / 16);
-        }
-        charges.end_candidate(mem);
+        charges.candidate(
+            mem,
+            cur,
+            reference,
+            (bx, by, size),
+            (sx, sy, cols),
+            rows,
+            frac_y,
+            SAD_ROW_OPS * 2 * size as u64 / 16,
+        );
         acc
     }
 

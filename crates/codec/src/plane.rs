@@ -129,14 +129,28 @@ impl TracedPlane {
         self.buf.touch_read(mem, self.index(x, y), len);
     }
 
-    /// The `(address, bytes)` span [`TracedPlane::touch_row_read`]
-    /// would charge for a non-empty row, under the same bounds checks,
-    /// for a caller that charges it later in a [`MemModel::access_loads`]
-    /// batch.
-    pub(crate) fn row_span(&self, x: isize, y: isize, len: usize) -> (u64, u64) {
-        let i = self.index(x, y);
-        assert!(len > 0 && i + len <= self.buf.len());
-        (self.buf.addr_of(i), len as u64)
+    /// Address of the first of `rows` non-empty rows of `len` pixels
+    /// from `(x, y)` downward, for a caller that charges them later in a
+    /// [`MemModel::access_candidates`] batch. Applies, once, the bounds
+    /// checks [`TracedPlane::touch_row_read`] makes on every row: each
+    /// row starts inside the padded surface and ends inside the buffer.
+    /// The rows share `x`, and their start indices grow with `y`, so
+    /// checking the first and the last row covers every row between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` or `rows` is zero or any row falls outside.
+    pub(crate) fn rows_addr(&self, x: isize, y: isize, len: usize, rows: usize) -> u64 {
+        assert!(len > 0 && rows > 0);
+        let first = self.index(x, y);
+        let last = self.index(x, y + rows as isize - 1);
+        assert!(last + len <= self.buf.len());
+        self.buf.addr_of(first)
+    }
+
+    /// Bytes from one row to the next.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
     }
 
     /// Charges traced reads of a `w × h` pixel window at `(x, y)` as one

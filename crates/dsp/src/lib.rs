@@ -25,7 +25,6 @@
 //! ```
 
 mod dct;
-mod dct_int;
 pub mod dispatch;
 mod interp;
 #[cfg(target_arch = "x86_64")]
@@ -35,7 +34,6 @@ mod sad;
 mod zigzag;
 
 pub use dct::{forward_dct, forward_dct_f64, inverse_dct, inverse_dct_f64, CoefBlock, DCT_OPS};
-pub use dct_int::{forward_dct_int, inverse_dct_int};
 pub use dispatch::{active_tier, force_tier, kernels, supported_tiers, KernelTier, Kernels};
 pub use interp::{average_pixels, copy_block, interpolate_half_pel, HalfPel, INTERP_OPS_PER_PIXEL};
 pub use quant::{

@@ -4,7 +4,7 @@ use crate::cache::Cache;
 use crate::counters::Counters;
 use crate::dram::DramModel;
 use crate::machine::MachineSpec;
-use crate::model::{AccessKind, MemModel, ParallelModel};
+use crate::model::{AccessKind, MemModel, ParallelModel, SearchCandidate};
 use crate::space::Region;
 use crate::timing::CycleBreakdown;
 use crate::tlb::Tlb;
@@ -68,32 +68,225 @@ pub struct Hierarchy {
     mru_line_dirty: bool,
     /// VPN most recently resolved through the TLB. `u64::MAX` = none.
     mru_page: u64,
-    /// Recycled bookkeeping for [`MemModel::access_loads`] batches.
+    /// Recycled bookkeeping for [`MemModel::access_candidates`] batches.
     batch: LoadBatch,
 }
 
-/// Bookkeeping for one [`MemModel::access_loads`] batch: its distinct
-/// L1 lines, each with its last touch, in first-touch order. The tables
+/// One distinct line of a candidate batch: its first and last touch.
+///
+/// A touch is ordered by `(span position, line)`: the position packs the
+/// candidate index above the span's place in that candidate's charge
+/// order ([`span_pos`]), and a span touches its lines in ascending
+/// order, so comparing `(position, line)` pairs orders touches exactly
+/// as the per-span replay makes them.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineStamp {
+    line: u64,
+    first: u64,
+    last: u64,
+    epoch: u32,
+}
+
+/// Position of span `slot` of candidate `cand` in a batch's charge order.
+/// A candidate has at most `2·rows + 1 < 2^33` spans, and a batch
+/// (a slice of 40-byte records) fewer than `2^31` candidates.
+#[inline]
+fn span_pos(cand: usize, slot: u64) -> u64 {
+    ((cand as u64) << 33) | slot
+}
+
+/// Slot of current row `r` in a candidate's charge order (see
+/// [`SearchCandidate::for_each_span`]): rows alternate current,
+/// reference, with the leading reference row second when there is one.
+#[inline]
+fn cur_slot(r: u32, lead_row: bool) -> u64 {
+    let r = u64::from(r);
+    if lead_row && r > 0 {
+        2 * r + 1
+    } else {
+        2 * r
+    }
+}
+
+/// Slot of the candidate's `k`-th reference row in its charge order.
+#[inline]
+fn ref_slot(k: u32, lead_row: bool) -> u64 {
+    let k = u64::from(k);
+    if lead_row && k > 0 {
+        2 * k
+    } else {
+        2 * k + 1
+    }
+}
+
+/// The line stamps of one batch, indexed by line number modulo the table
+/// size (open addressing, probing forward on a collision). A search
+/// window's lines are runs of consecutive line numbers, so they land in
+/// consecutive entries. Entries stamped in an older epoch are empty, so
+/// nothing is cleared between batches.
+#[derive(Debug, Clone, Default)]
+struct LineTable {
+    entries: Vec<LineStamp>,
+    mask: usize,
+    /// Batch generation, starting at 1.
+    epoch: u32,
+    /// Most distinct lines a batch may hold: at most half the entries,
+    /// so a probe always reaches an empty entry.
+    capacity: usize,
+    /// Entry indices of the batch's distinct lines.
+    lines: Vec<u32>,
+}
+
+impl LineTable {
+    fn new(capacity: usize) -> Self {
+        let entries = (2 * capacity).next_power_of_two();
+        LineTable {
+            entries: vec![LineStamp::default(); entries],
+            mask: entries - 1,
+            epoch: 0,
+            capacity,
+            lines: Vec::new(),
+        }
+    }
+
+    /// Empties the table for a new batch. Returns `true` when the epoch
+    /// wrapped and every entry was cleared.
+    fn clear(&mut self) -> bool {
+        self.lines.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.entries.fill(LineStamp::default());
+            self.epoch = 1;
+            return true;
+        }
+        false
+    }
+
+    /// Stamps the reference rows of `cand`, candidate `c` of the batch,
+    /// each touch later than every touch stamped so far. Returns the
+    /// rows' line and page touches, or `None` once the batch has more
+    /// than `capacity` distinct lines. This is the hot loop (about 1,000
+    /// rows per ±8 search), so the table's fields are held in locals.
+    fn stamp_reference_rows(
+        &mut self,
+        c: usize,
+        cand: &SearchCandidate,
+        line_shift: u32,
+        page_shift: u32,
+    ) -> Option<(u64, u64)> {
+        let (mask, epoch, capacity) = (self.mask, self.epoch, self.capacity);
+        let (entries, lines) = (&mut self.entries[..], &mut self.lines);
+        let (mut line_touches, mut page_touches) = (0, 0);
+        let tail = u64::from(cand.ref_width.max(1)) - 1;
+        let mut addr = cand.reference;
+        for k in 0..cand.ref_rows() {
+            let pos = span_pos(c, ref_slot(k, cand.lead_row));
+            let end = addr.saturating_add(tail);
+            let (lo, hi) = (addr >> line_shift, end >> line_shift);
+            line_touches += hi - lo + 1;
+            page_touches += (end >> page_shift) - (addr >> page_shift) + 1;
+            let mut line = lo;
+            loop {
+                let mut i = line as usize & mask;
+                loop {
+                    let e = &mut entries[i];
+                    if e.epoch != epoch {
+                        *e = LineStamp {
+                            line,
+                            first: pos,
+                            last: pos,
+                            epoch,
+                        };
+                        lines.push(i as u32);
+                        if lines.len() > capacity {
+                            return None;
+                        }
+                        break;
+                    }
+                    if e.line == line {
+                        e.last = pos;
+                        break;
+                    }
+                    i = (i + 1) & mask;
+                }
+                if line == hi {
+                    break;
+                }
+                line += 1;
+            }
+            addr = addr.saturating_add(cand.stride);
+        }
+        Some((line_touches, page_touches))
+    }
+
+    /// Widens `line`'s touch interval to cover `first..=last`, adding the
+    /// line on its first stamp. Returns `false` once the batch has more
+    /// distinct lines than `capacity`.
+    #[inline]
+    fn stamp(&mut self, line: u64, first: u64, last: u64) -> bool {
+        let mut i = line as usize & self.mask;
+        loop {
+            let e = &mut self.entries[i];
+            if e.epoch != self.epoch {
+                *e = LineStamp {
+                    line,
+                    first,
+                    last,
+                    epoch: self.epoch,
+                };
+                self.lines.push(i as u32);
+                return self.lines.len() <= self.capacity;
+            }
+            if e.line == line {
+                e.first = e.first.min(first);
+                e.last = e.last.max(last);
+                return true;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// The batch's distinct lines, in the order they were added.
+    fn iter(&self) -> impl Iterator<Item = &LineStamp> {
+        self.lines.iter().map(|&i| &self.entries[i as usize])
+    }
+
+    fn len(&self) -> usize {
+        self.lines.len()
+    }
+}
+
+/// Bookkeeping for one [`MemModel::access_candidates`] batch: its
+/// distinct L1 lines, each with its first and last touch. The tables
 /// are sized from the geometry on first use and then recycled, so a
 /// batch allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct LoadBatch {
-    /// Batch generation, starting at 1. Sets stamped with an older one
-    /// hold no line of the current batch, so nothing is cleared between
-    /// batches.
-    epoch: u32,
-    /// Per L1 set: `epoch << 32 | distinct batch lines in the set`.
+    /// Line stamps. The table has at least twice as many entries as
+    /// the L1 has lines, and holds at most as many lines as the L1: a
+    /// batch with more has more than `assoc` of them in some set.
+    table: LineTable,
+    /// Per L1 set: `epoch << 32 | distinct batch lines in the set`, in
+    /// the table's epochs.
     set_meta: Vec<u64>,
-    /// `assoc` slots per L1 set: `(line number, last touch)`.
-    slots: Vec<(u64, u64)>,
     set_mask: u64,
     assoc: usize,
-    /// Slot indices of the distinct lines, in first-touch order.
-    first_touch: Vec<u32>,
-    /// `(last touch, line number)`, sorted to replay the last touches.
+    line_shift: u32,
+    page_shift: u32,
+    /// `(first touch, line number)` and `(last touch, line number)` of
+    /// the distinct lines, sorted to replay the first and last touches.
+    by_first: Vec<(u64, u64)>,
     by_last: Vec<(u64, u64)>,
     /// `(page number, rank of its last touch)` in first-touch order.
     pages: Vec<(u64, usize)>,
+    /// Per current-block row of a run: the first candidate visiting it,
+    /// then either the latest candidate with exactly `r + 1` rows and
+    /// their count, or (once the run ends) the last candidate visiting
+    /// the row and how many do.
+    cover: Vec<(usize, usize, u64)>,
+    /// Line and page touches of the per-span replay.
+    line_touches: u64,
+    page_touches: u64,
     /// Non-empty batches charged, and how many of them fell back to the
     /// per-span replay.
     batches: u64,
@@ -101,84 +294,138 @@ struct LoadBatch {
 }
 
 impl LoadBatch {
-    /// Starts a batch for an L1 of `sets` sets of `assoc` ways.
-    fn begin(&mut self, sets: u64, assoc: usize) {
+    /// Starts a batch for an L1 of `sets` sets of `assoc` ways, lines
+    /// of `1 << line_shift` bytes and pages of `1 << page_shift`.
+    fn begin(&mut self, sets: u64, assoc: usize, line_shift: u32, page_shift: u32) {
         if self.set_meta.is_empty() {
+            self.table = LineTable::new(sets as usize * assoc);
             self.set_meta = vec![0; sets as usize];
-            self.slots = vec![(0, 0); sets as usize * assoc];
             self.set_mask = sets - 1;
             self.assoc = assoc;
+            self.line_shift = line_shift;
+            self.page_shift = page_shift;
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
+        if self.table.clear() {
             self.set_meta.fill(0);
-            self.epoch = 1;
         }
-        self.first_touch.clear();
+        self.cover.clear();
+        self.line_touches = 0;
+        self.page_touches = 0;
         self.batches += 1;
     }
 
-    /// Records the line touches of `spans`, in the order the per-span
-    /// replay makes them. Returns the total `(line, page)` touch counts,
-    /// or `None` as soon as some L1 set receives more than `assoc`
-    /// distinct lines.
-    fn collect(
-        &mut self,
-        spans: &[(u64, u64)],
-        line_shift: u32,
-        page_shift: u32,
-    ) -> Option<(u64, u64)> {
-        let (mut touch, mut line_touches, mut page_touches) = (0u64, 0u64, 0u64);
-        for &(addr, len) in spans {
-            let last = addr.saturating_add(len.max(1) - 1);
-            let (mut line, last_line) = (addr >> line_shift, last >> line_shift);
-            line_touches += last_line - line + 1;
-            page_touches += (last >> page_shift) - (addr >> page_shift) + 1;
-            loop {
-                touch += 1;
-                self.touch_line(line, touch)?;
-                if line == last_line {
-                    break;
-                }
-                line += 1;
+    /// Records every line touch of `batch`, in the order-preserving form
+    /// of [`LineStamp`], then checks that no L1 set receives more than
+    /// `assoc` distinct lines. Returns `None` when it does.
+    ///
+    /// Reference rows are stamped candidate by candidate. The current
+    /// block's rows are the same for every candidate of a run sharing
+    /// one block, so each is stamped once per run: its first touch is
+    /// the first candidate that visits the row, its last touch the last
+    /// one, and it is touched once per candidate that visits it.
+    fn collect(&mut self, batch: &[SearchCandidate]) -> Option<()> {
+        let block = |c: &SearchCandidate| (c.cur, c.stride, c.cur_width);
+        let mut run = 0;
+        for (c, cand) in batch.iter().enumerate() {
+            if block(cand) != block(&batch[run]) {
+                self.touch_current(&batch[run..c], run)?;
+                run = c;
             }
+            self.cover_rows(c - run, cand.rows);
+            // Every touch stamped so far, current rows of earlier runs
+            // included, precedes this candidate's reference rows.
+            let (lines, pages) =
+                self.table
+                    .stamp_reference_rows(c, cand, self.line_shift, self.page_shift)?;
+            self.line_touches += lines;
+            self.page_touches += pages;
         }
-        Some((line_touches, page_touches))
-    }
-
-    #[inline]
-    fn touch_line(&mut self, line: u64, touch: u64) -> Option<()> {
-        let set = (line & self.set_mask) as usize;
-        let meta = self.set_meta[set];
-        let n = if (meta >> 32) as u32 == self.epoch {
-            meta as u32 as usize
-        } else {
-            0
-        };
-        let base = set * self.assoc;
-        let slots = &mut self.slots[base..base + self.assoc];
-        if let Some(slot) = slots[..n].iter_mut().find(|s| s.0 == line) {
-            slot.1 = touch;
-            return Some(());
+        self.touch_current(&batch[run..], run)?;
+        let epoch = self.table.epoch;
+        for e in self.table.iter() {
+            let set = (e.line & self.set_mask) as usize;
+            let meta = self.set_meta[set];
+            let n = if (meta >> 32) as u32 == epoch {
+                meta as u32 as usize
+            } else {
+                0
+            };
+            if n == self.assoc {
+                return None;
+            }
+            self.set_meta[set] = (u64::from(epoch) << 32) | (n as u64 + 1);
         }
-        if n == self.assoc {
-            return None;
-        }
-        slots[n] = (line, touch);
-        self.set_meta[set] = (u64::from(self.epoch) << 32) | (n as u64 + 1);
-        self.first_touch.push((base + n) as u32);
         Some(())
     }
 
-    /// Derives the batch's distinct pages from its lines — a span
-    /// touches a page exactly when it touches one of the page's lines,
-    /// and a line lies in one page — in first-touch order, and sorts the
-    /// lines by last touch. Returns `false` when the batch has as many
-    /// distinct pages as the TLB has entries.
-    fn order(&mut self, line_to_page: u32, tlb_entries: usize) -> bool {
+    /// Notes that candidate `i` of the current run visits `rows` current
+    /// rows: the rows no earlier candidate reached are first visited by
+    /// it, and it is the latest candidate (so far) with that many rows.
+    #[inline]
+    fn cover_rows(&mut self, i: usize, rows: u32) {
+        let rows = rows as usize;
+        if rows > self.cover.len() {
+            self.cover.resize(rows, (i, 0, 0));
+        }
+        if rows > 0 {
+            let row = &mut self.cover[rows - 1];
+            row.1 = i;
+            row.2 += 1;
+        }
+    }
+
+    /// Stamps the current-block rows of `run`, candidates sharing one
+    /// block whose first is candidate `offset` of the batch, from the
+    /// coverage [`LoadBatch::cover_rows`] noted, and resets it.
+    fn touch_current(&mut self, run: &[SearchCandidate], offset: usize) -> Option<()> {
+        // Row `r` is visited by every candidate with more than `r` rows.
+        let (mut last, mut n) = (0, 0);
+        for row in self.cover.iter_mut().rev() {
+            if row.2 > 0 {
+                last = last.max(row.1);
+            }
+            n += row.2;
+            (row.1, row.2) = (last, n);
+        }
+        let head = run[0];
+        let tail = u64::from(head.cur_width.max(1)) - 1;
+        for (r, &(first, last, n)) in self.cover.iter().enumerate() {
+            let r = r as u32;
+            let first = span_pos(offset + first, cur_slot(r, run[first].lead_row));
+            let last = span_pos(offset + last, cur_slot(r, run[last].lead_row));
+            let addr = head.row_addr(head.cur, r);
+            let end = addr.saturating_add(tail);
+            let (lo, hi) = (addr >> self.line_shift, end >> self.line_shift);
+            self.line_touches += n * (hi - lo + 1);
+            self.page_touches += n * ((end >> self.page_shift) - (addr >> self.page_shift) + 1);
+            for line in lo..=hi {
+                if !self.table.stamp(line, first, last) {
+                    return None;
+                }
+            }
+        }
+        self.cover.clear();
+        Some(())
+    }
+
+    /// Sorts the lines by first touch and by last touch, and derives
+    /// the batch's distinct pages from them — a span touches a
+    /// page exactly when it touches one of the page's lines, and a line
+    /// lies in one page — in first-touch order. Returns `false` when the
+    /// batch has as many distinct pages as the TLB has entries.
+    fn order(&mut self, tlb_entries: usize) -> bool {
+        let line_to_page = self.page_shift - self.line_shift;
+        self.by_first.clear();
+        self.by_last.clear();
+        for e in self.table.iter() {
+            self.by_first.push((e.first, e.line));
+            self.by_last.push((e.last, e.line));
+        }
+        self.by_first.sort_unstable();
+        self.by_last.sort_unstable();
         self.pages.clear();
-        for &i in &self.first_touch {
-            let page = self.slots[i as usize].0 >> line_to_page;
+        for &(_, line) in &self.by_first {
+            let page = line >> line_to_page;
             if !self.pages.iter().any(|&(p, _)| p == page) {
                 if self.pages.len() + 1 >= tlb_entries {
                     return false;
@@ -186,12 +433,6 @@ impl LoadBatch {
                 self.pages.push((page, 0));
             }
         }
-        self.by_last.clear();
-        for &i in &self.first_touch {
-            let (line, last) = self.slots[i as usize];
-            self.by_last.push((last, line));
-        }
-        self.by_last.sort_unstable();
         for (rank, &(_, line)) in self.by_last.iter().enumerate() {
             let page = line >> line_to_page;
             if let Some(p) = self.pages.iter_mut().find(|p| p.0 == page) {
@@ -427,29 +668,29 @@ impl Hierarchy {
         }
     }
 
-    /// TLB walks + line probes for a load batch: one probe per distinct
-    /// page and line in first-touch order, then one restamp each in
-    /// last-touch order. Loads never dirty a line, and with at most
-    /// `assoc` distinct batch lines per L1 set (and fewer distinct pages
-    /// than TLB entries) no batch line is evicted before the batch ends,
-    /// so every miss, victim and writeback of the per-span replay falls
-    /// on a first touch; DESIGN.md §11 gives the full argument. Returns
-    /// `false`, having changed nothing, when that precondition fails.
-    fn charge_batch(&mut self, spans: &[(u64, u64)]) -> bool {
+    /// TLB walks + line probes for a candidate batch: one probe per
+    /// distinct page and line in first-touch order, then one restamp
+    /// each in last-touch order. Loads never dirty a line, and with at
+    /// most `assoc` distinct batch lines per L1 set (and fewer distinct
+    /// pages than TLB entries) no batch line is evicted before the batch
+    /// ends, so every miss, victim and writeback of the per-span replay
+    /// falls on a first touch; DESIGN.md §11 gives the full argument.
+    /// Returns `false`, having changed nothing, when that precondition
+    /// fails.
+    fn charge_batch(&mut self, batch: &[SearchCandidate]) -> bool {
         if self.page_shift < self.l1_shift {
             return false; // a line would straddle pages
         }
-        self.batch
-            .begin(self.l1.config().sets(), self.machine.l1.assoc);
-        let Some((line_touches, page_touches)) =
-            self.batch.collect(spans, self.l1_shift, self.page_shift)
-        else {
+        self.batch.begin(
+            self.l1.config().sets(),
+            self.machine.l1.assoc,
+            self.l1_shift,
+            self.page_shift,
+        );
+        if self.batch.collect(batch).is_none() {
             return false;
-        };
-        if !self
-            .batch
-            .order(self.page_shift - self.l1_shift, self.machine.tlb.entries)
-        {
+        }
+        if !self.batch.order(self.machine.tlb.entries) {
             return false;
         }
         // First touches, in first-touch order.
@@ -458,8 +699,8 @@ impl Hierarchy {
                 self.counters.tlb_misses += 1;
             }
         }
-        for i in 0..self.batch.first_touch.len() {
-            let line = self.batch.slots[self.batch.first_touch[i] as usize].0;
+        for i in 0..self.batch.by_first.len() {
+            let line = self.batch.by_first[i].1;
             self.probe_line(line << self.l1_shift, false, true);
         }
         // Last touches, in last-touch order.
@@ -472,9 +713,9 @@ impl Hierarchy {
         }
         // Every other touch is a hit.
         self.tlb
-            .filtered_hits(page_touches - self.batch.pages.len() as u64);
+            .filtered_hits(self.batch.page_touches - self.batch.pages.len() as u64);
         self.l1
-            .filtered_hits(line_touches - self.batch.first_touch.len() as u64);
+            .filtered_hits(self.batch.line_touches - self.batch.table.len() as u64);
         // The restamps moved recency behind the MRU filter's back.
         self.mru_line = u64::MAX;
         self.mru_line_dirty = false;
@@ -482,9 +723,10 @@ impl Hierarchy {
         true
     }
 
-    /// `(batches, fallbacks)`: the non-empty [`MemModel::access_loads`]
-    /// batches charged so far, and how many of them broke the
-    /// precondition and were replayed span by span. Diagnostic only;
+    /// `(batches, fallbacks)`: the non-empty
+    /// [`MemModel::access_candidates`] batches charged so far, and how
+    /// many of them broke the precondition and were replayed span by
+    /// span. Diagnostic only;
     /// neither path changes a counter.
     #[doc(hidden)]
     pub fn load_batch_stats(&self) -> (u64, u64) {
@@ -533,18 +775,20 @@ impl MemModel for Hierarchy {
         }
     }
 
-    fn access_loads(&mut self, spans: &[(u64, u64)]) {
-        if spans.is_empty() {
+    fn access_candidates(&mut self, batch: &[SearchCandidate]) {
+        if batch.is_empty() {
             return;
         }
-        for &(_, len) in spans {
-            self.counters.loads += len;
-            self.counters.bytes_accessed += len.max(1);
+        for c in batch {
+            let (rows, ref_rows) = (u64::from(c.rows), u64::from(c.ref_rows()));
+            let (cw, rw) = (u64::from(c.cur_width), u64::from(c.ref_width));
+            self.counters.loads += rows * cw + ref_rows * rw;
+            self.counters.bytes_accessed += rows * cw.max(1) + ref_rows * rw.max(1);
         }
-        if !self.charge_batch(spans) {
+        if !self.charge_batch(batch) {
             self.batch.fallbacks += 1;
-            for &(addr, len) in spans {
-                self.charge_span(addr, len, false);
+            for cand in batch {
+                cand.for_each_span(|addr, len| self.charge_span(addr, len, false));
             }
         }
     }
@@ -806,23 +1050,25 @@ mod tests {
         assert_eq!(fast.dram().bytes_total(), naive.dram().bytes_total());
     }
 
-    /// Drives `fast` with `spans` as one load batch and `naive` span by
-    /// span, then requires the models to agree now and after a probe
-    /// stream that sweeps the batch's sets (so the LRU order left
-    /// behind must agree too).
+    /// Drives `fast` with `batch` through the override and `naive`
+    /// through the default expansion, then requires the models to agree
+    /// now and after a probe stream that sweeps the batch's sets (so the
+    /// LRU order left behind must agree too).
     fn assert_batch_matches_naive(
         fast: &mut Hierarchy,
         naive: &mut crate::naive::NaiveHierarchy,
-        spans: &[(u64, u64)],
+        batch: &[SearchCandidate],
     ) {
-        fast.access_loads(spans);
-        for &(a, l) in spans {
-            naive.access_range(a, l, AccessKind::Load, l);
-        }
+        fast.access_candidates(batch);
+        naive.access_candidates(batch);
         assert_eq!(fast.counters(), naive.counters());
         for a in (0x8000..0x8000 + 2048u64).step_by(32) {
             fast.access_range(a, 8, AccessKind::Load, 1);
             naive.access_range(a, 8, AccessKind::Load, 1);
+        }
+        let mut spans = Vec::new();
+        for c in batch {
+            c.for_each_span(|a, l| spans.push((a, l)));
         }
         for &(a, l) in spans.iter().rev() {
             fast.access_range(a, l, AccessKind::Store, 1);
@@ -834,10 +1080,26 @@ mod tests {
         assert_eq!(fast.l1().stats(), naive.l1().stats());
     }
 
+    /// Three displaced candidates for one current block: `rows` rows of
+    /// 16 bytes at a 64-byte stride.
+    fn candidates(cur: u64, reference: u64, rows: u32) -> Vec<SearchCandidate> {
+        (0..3u64)
+            .map(|dx| SearchCandidate {
+                cur,
+                reference: reference + dx,
+                stride: 64,
+                cur_width: 16,
+                ref_width: 16,
+                rows: rows - dx as u32,
+                lead_row: false,
+            })
+            .collect()
+    }
+
     /// A batch with at most `assoc` lines per set takes the first-touch
     /// reduction and still matches the per-span replay exactly.
     #[test]
-    fn conflict_free_load_batch_takes_the_fast_path() {
+    fn conflict_free_candidate_batch_takes_the_fast_path() {
         let mut fast = Hierarchy::new(small_machine());
         let mut naive = crate::naive::NaiveHierarchy::new(small_machine());
         // Warm a dirty line the batch re-reads and one it evicts.
@@ -845,24 +1107,24 @@ mod tests {
             m.access_range(0x40, 8, AccessKind::Store, 1);
             m.access_range(0x440, 8, AccessKind::Store, 1);
         }
-        // Alternating current/reference rows, like a SAD candidate:
-        // two lines per set at most (0x40 and 0x840 share set 2).
-        let spans: Vec<(u64, u64)> = (0..6u64)
-            .flat_map(|r| [(0x40 + (r % 2) * 16, 16), (0x840 + r * 4, 16)])
-            .collect();
-        assert_batch_matches_naive(&mut fast, &mut naive, &spans);
+        // Current rows 0x40, 0x80, 0xc0 and reference rows 0x840, 0x880,
+        // 0x8c0: two lines per set at most (0x40 and 0x840 share set 2).
+        assert_batch_matches_naive(&mut fast, &mut naive, &candidates(0x40, 0x840, 3));
         assert_eq!(fast.load_batch_stats(), (1, 0));
     }
 
     /// Three lines of one 2-way set in a batch break the precondition:
     /// the batch falls back to the per-span replay.
     #[test]
-    fn over_assoc_load_batch_falls_back() {
+    fn over_assoc_candidate_batch_falls_back() {
         let mut fast = Hierarchy::new(small_machine());
         let mut naive = crate::naive::NaiveHierarchy::new(small_machine());
         // 0x100, 0x500 and 0x900 all map to L1 set 8.
-        let spans = [(0x100, 8), (0x500, 8), (0x100, 8), (0x900, 8), (0x100, 8)];
-        assert_batch_matches_naive(&mut fast, &mut naive, &spans);
+        let mut batch = candidates(0x100, 0x900, 2);
+        for c in &mut batch {
+            c.stride = 0x400;
+        }
+        assert_batch_matches_naive(&mut fast, &mut naive, &batch);
         assert_eq!(fast.load_batch_stats(), (1, 1));
     }
 

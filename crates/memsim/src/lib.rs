@@ -51,7 +51,7 @@ pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{Hierarchy, RegionMisses};
 pub use machine::{CpuKind, MachineSpec};
 pub use metrics::MemoryMetrics;
-pub use model::{AccessKind, MemModel, NullModel, ParallelModel};
+pub use model::{AccessKind, MemModel, NullModel, ParallelModel, SearchCandidate};
 pub use naive::NaiveHierarchy;
 pub use space::{AddressSpace, Region};
 pub use timing::TimingModel;

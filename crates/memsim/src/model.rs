@@ -11,6 +11,70 @@ pub enum AccessKind {
     Store,
 }
 
+/// One motion-search candidate's load stream: `rows` rows of the
+/// current block compared against the displaced reference block, as the
+/// SAD kernel visited them before its cutoff.
+///
+/// Row `r` loads `cur_width` bytes of the current block at
+/// `cur + r·stride`, then the reference row it reads, `ref_width` bytes.
+/// Without `lead_row` that is reference row `r` at
+/// `reference + r·stride`. With it (a vertical half-pel candidate,
+/// which averages two reference rows per output row) row 0 first reads
+/// the leading reference row 0, and row `r` then reads reference row
+/// `r + 1`. Both planes share the one `stride`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCandidate {
+    /// Address of the current block's first row.
+    pub cur: u64,
+    /// Address of the first reference row read.
+    pub reference: u64,
+    /// Bytes from one row to the next, in both planes.
+    pub stride: u64,
+    /// Bytes loaded per current row (16 or 8).
+    pub cur_width: u32,
+    /// Bytes loaded per reference row (the block width, plus 1 with a
+    /// horizontal half-pel fraction).
+    pub ref_width: u32,
+    /// Rows the SAD kernel visited.
+    pub rows: u32,
+    /// Whether the candidate reads one leading reference row.
+    pub lead_row: bool,
+}
+
+impl SearchCandidate {
+    /// Reference rows the candidate loads: one per visited row, plus the
+    /// leading row when it has one.
+    pub fn ref_rows(&self) -> u32 {
+        if self.rows == 0 {
+            0
+        } else {
+            self.rows + u32::from(self.lead_row)
+        }
+    }
+
+    /// Address of row `r` of the plane whose row 0 is at `origin`,
+    /// saturating at the top of the address space as
+    /// [`MemModel::access_rect`] does.
+    #[inline]
+    pub fn row_addr(&self, origin: u64, r: u32) -> u64 {
+        origin.saturating_add(u64::from(r).saturating_mul(self.stride))
+    }
+
+    /// Calls `f(addr, len)` for each load span of the candidate, in
+    /// charge order: current row, then the reference row(s), row by row.
+    pub fn for_each_span(&self, mut f: impl FnMut(u64, u64)) {
+        let (cw, rw) = (u64::from(self.cur_width), u64::from(self.ref_width));
+        let lead = u32::from(self.lead_row);
+        for r in 0..self.rows {
+            f(self.row_addr(self.cur, r), cw);
+            if r == 0 && self.lead_row {
+                f(self.reference, rw);
+            }
+            f(self.row_addr(self.reference, r + lead), rw);
+        }
+    }
+}
+
 /// A sink for the codec's memory-reference stream.
 ///
 /// Every logical data access the codec performs is reported here. The
@@ -56,27 +120,27 @@ pub trait MemModel {
         }
     }
 
-    /// Reports a batch of loads: each `(addr, len)` span is `len`
-    /// architectural loads of the bytes at `addr`.
+    /// Reports a batch of motion-search candidates, in search order.
     ///
     /// The charge stream is defined to be identical to issuing
-    /// `access_range(addr, len, AccessKind::Load, len)` once per span in
-    /// order, which is what this default does; implementations may only
-    /// restructure it in ways that preserve every counter bit-for-bit.
-    /// Motion search charges a macroblock's whole reference stream this
-    /// way so the simulator can work per distinct line instead of per
-    /// row.
-    fn access_loads(&mut self, spans: &[(u64, u64)]) {
-        for &(addr, len) in spans {
-            self.access_range(addr, len, AccessKind::Load, len);
+    /// `access_range(addr, len, AccessKind::Load, len)` once per span of
+    /// each candidate's [`SearchCandidate::for_each_span`], candidate by
+    /// candidate, which is what this default does; implementations may
+    /// only restructure it in ways that preserve every counter
+    /// bit-for-bit. Motion search charges a search's whole reference
+    /// stream this way so the simulator can work per distinct line
+    /// instead of per row.
+    fn access_candidates(&mut self, batch: &[SearchCandidate]) {
+        for cand in batch {
+            cand.for_each_span(|addr, len| self.access_range(addr, len, AccessKind::Load, len));
         }
     }
 
-    /// Whether callers should build charge batches (such as the spans
-    /// for [`MemModel::access_loads`]). When `false` they charge each
-    /// access as they go, which is the same charge stream. [`NullModel`]
-    /// discards every charge and returns `false`, so the batch
-    /// bookkeeping compiles away.
+    /// Whether callers should build charge batches (such as the
+    /// candidates for [`MemModel::access_candidates`]). When `false`
+    /// they charge each access as they go, which is the same charge
+    /// stream. [`NullModel`] discards every charge and returns `false`,
+    /// so the batch bookkeeping compiles away.
     fn wants_batches(&self) -> bool {
         true
     }
@@ -166,7 +230,7 @@ impl MemModel for NullModel {
     ) {
     }
 
-    fn access_loads(&mut self, _spans: &[(u64, u64)]) {}
+    fn access_candidates(&mut self, _batch: &[SearchCandidate]) {}
 
     #[inline]
     fn wants_batches(&self) -> bool {
@@ -199,7 +263,15 @@ mod tests {
         let mut m = NullModel::new();
         m.access_range(0, 1024, AccessKind::Store, 128);
         m.access_rect(0, 64, 16, 16, AccessKind::Load, 16);
-        m.access_loads(&[(0, 16), (720, 16)]);
+        m.access_candidates(&[SearchCandidate {
+            cur: 0,
+            reference: 720,
+            stride: 720,
+            cur_width: 16,
+            ref_width: 16,
+            rows: 16,
+            lead_row: false,
+        }]);
         m.prefetch(64);
         m.add_ops(1_000_000);
         assert_eq!(*m.counters(), Counters::default());

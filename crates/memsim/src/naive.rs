@@ -3,9 +3,10 @@
 //! [`NaiveHierarchy`] models exactly the same machine as
 //! [`Hierarchy`](crate::Hierarchy) but takes none of its fast paths: no
 //! hierarchy-level MRU filter, no cache-way memo, no TLB-slot memo, and
-//! only the default per-row [`MemModel::access_rect`] and per-span
-//! [`MemModel::access_loads`]. Every access runs the full set scan and
-//! the full linear TLB scan, re-proving residency the slow way.
+//! only the default per-row [`MemModel::access_rect`] and the default
+//! per-span expansion of [`MemModel::access_candidates`]. Every access
+//! runs the full set scan and the full linear TLB scan, re-proving
+//! residency the slow way.
 //!
 //! It exists as the differential baseline for the fast paths: the
 //! `fastpath_equiv` suite drives both models with identical reference

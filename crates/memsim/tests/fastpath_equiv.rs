@@ -1,6 +1,6 @@
 //! Differential property suite: the fast-path [`Hierarchy`] (MRU line
 //! filter, cache-way memo, TLB-slot memo, optimized `access_rect`,
-//! first-touch `access_loads` batches) against the un-memoized
+//! first-touch `access_candidates` batches) against the un-memoized
 //! [`NaiveHierarchy`] reference.
 //!
 //! Every test drives both models with an identical reference stream and
@@ -9,10 +9,12 @@
 //! are chosen to hammer the fast paths where they could diverge:
 //! same-line repeats, store-after-load dirtiness, set-conflict
 //! evictions, page alternation, prefetch interleaving, rectangular
-//! charging, and load batches on both sides of the batch precondition.
+//! charging, and motion-search candidate batches on both sides of the
+//! batch precondition.
 
 use m4ps_memsim::{
     AccessKind, Counters, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
+    SearchCandidate,
 };
 use m4ps_testkit::prop::{check, Config};
 use m4ps_testkit::prop_assert_eq;
@@ -27,7 +29,7 @@ enum Op {
     Prefetch(u64),
     PrefetchPair(u64),
     Ops(u64),
-    LoadBatch(Vec<(u64, u64)>),
+    Candidates(Vec<SearchCandidate>),
 }
 
 fn apply<M: MemModel>(m: &mut M, ops: &[Op]) {
@@ -38,7 +40,7 @@ fn apply<M: MemModel>(m: &mut M, ops: &[Op]) {
             Op::Prefetch(a) => m.prefetch(a),
             Op::PrefetchPair(a) => m.prefetch_pair(a),
             Op::Ops(n) => m.add_ops(n),
-            Op::LoadBatch(ref spans) => m.access_loads(spans),
+            Op::Candidates(ref batch) => m.access_candidates(batch),
         }
     }
 }
@@ -105,66 +107,78 @@ fn gen_stream(rng: &mut Rng) -> Vec<Op> {
     ops
 }
 
-/// Generates the span stream of a few SAD-like candidate searches:
-/// current-block rows alternating with displaced reference rows. Short
-/// runs in a spread-out layout keep within the batch precondition on
-/// the small machine; long runs, and strides that fold every row onto
-/// one set, break it. Zero-length spans are mixed in (they touch one
-/// byte's line, as in `access_range`).
-fn gen_batch(rng: &mut Rng) -> Vec<(u64, u64)> {
-    let cur = 0x1000 * u64::from(rng.gen_range(0u32..64)) + u64::from(rng.gen_range(0u32..32));
-    let reference =
-        0x1000 * u64::from(rng.gen_range(0u32..64)) + u64::from(rng.gen_range(0u32..32));
-    let stride = *rng.choose(&[64u64, 208, 512, 752, 1024, 0x4000]);
-    let width = *rng.choose(&[8u64, 16, 17, 40]);
-    let max_rows = *rng.choose(&[3u32, 17]);
+/// Generates a search-shaped candidate batch: one or two current blocks
+/// (at random origins), each compared against a run of candidates
+/// displaced around a random reference origin, with visited rows
+/// 1..=16, widths 8/9/16/17 and the half-pel leading-row flag. Compact
+/// strides keep within the batch precondition on the small machine;
+/// strides that fold rows onto one set, and origins spread over more
+/// pages than the TLB holds, break it.
+fn gen_batch(rng: &mut Rng) -> Vec<SearchCandidate> {
+    let origin = |rng: &mut Rng| {
+        0x1000 * u64::from(rng.gen_range(0u32..64)) + u64::from(rng.gen_range(0u32..32))
+    };
+    let stride = *rng.choose(&[32u64, 64, 208, 512, 752, 1024, 0x4000]);
+    let mut batch = Vec::new();
+    for _ in 0..rng.gen_range(1u32..3) {
+        let (cur, reference) = (origin(rng), origin(rng));
+        let size = *rng.choose(&[8u32, 16]);
+        for _ in 0..rng.gen_range(1u32..8) {
+            let (dx, dy) = (
+                u64::from(rng.gen_range(0u32..5)),
+                u64::from(rng.gen_range(0u32..5)),
+            );
+            batch.push(SearchCandidate {
+                cur,
+                reference: reference + dy * stride + dx,
+                stride,
+                cur_width: size,
+                ref_width: size + rng.gen_range(0u32..2),
+                rows: rng.gen_range(1u32..=16),
+                lead_row: rng.gen_bool(),
+            });
+        }
+    }
+    batch
+}
+
+/// The load spans `batch` expands to, in charge order.
+fn spans_of(batch: &[SearchCandidate]) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
-    for _ in 0..rng.gen_range(1u32..6) {
-        let (dx, dy) = (
-            u64::from(rng.gen_range(0u32..5)),
-            u64::from(rng.gen_range(0u32..5)),
-        );
-        let ref_first = rng.gen_bool();
-        for r in 0..u64::from(rng.gen_range(1u32..max_rows)) {
-            let rows = [
-                (cur + r * stride, width),
-                (reference + (dy + r) * stride + dx, width),
-            ];
-            if ref_first {
-                spans.extend(rows.iter().rev());
-            } else {
-                spans.extend(rows);
-            }
-        }
-        if rng.gen_range(0u32..8) == 0 {
-            spans.push((reference + dx, 0));
-        }
+    for c in batch {
+        c.for_each_span(|a, l| spans.push((a, l)));
     }
     spans
 }
 
-/// A stream of load batches, each followed by a verification stream:
-/// loads of fresh pages (evicting the least recently used TLB entries),
-/// then the batch's spans re-touched in reverse as stores, interleaved
-/// with loads that conflict with them in the L1 and L2. What those miss,
-/// evict and write back depends on the recency order and residency the
-/// batch left behind in all three structures.
+/// A stream of candidate batches, each followed by a verification
+/// stream: loads of fresh pages (evicting the least recently used TLB
+/// entries), then the batch's spans re-touched in reverse as stores,
+/// interleaved with loads that conflict with them in the L1 and L2.
+/// What those miss, evict and write back depends on the recency order
+/// and residency the batch left behind in all three structures.
 fn gen_batch_stream(rng: &mut Rng) -> Vec<Op> {
     let mut ops = gen_stream(rng);
     for _ in 0..rng.gen_range(1u32..5) {
-        let spans = gen_batch(rng);
+        let batch = gen_batch(rng);
         let fresh_pages = u64::from(rng.gen_range(0u32..4));
         let mut verify: Vec<Op> = (0..fresh_pages)
             .map(|p| Op::Range(0x100_0000 + p * 0x4000, 8, AccessKind::Load, 1))
             .collect();
-        verify.extend(spans.iter().rev().step_by(3).flat_map(|&(a, l)| {
-            [
-                Op::Range(a, l, AccessKind::Store, 1),
-                Op::Range(a + 1024, 8, AccessKind::Load, 1),
-                Op::Range(a + 8192, 8, AccessKind::Load, 1),
-            ]
-        }));
-        ops.push(Op::LoadBatch(spans));
+        verify.extend(
+            spans_of(&batch)
+                .iter()
+                .rev()
+                .step_by(3)
+                .flat_map(|&(a, l)| {
+                    [
+                        Op::Range(a, l, AccessKind::Store, 1),
+                        Op::Range(a + 1024, 8, AccessKind::Load, 1),
+                        Op::Range(a + 8192, 8, AccessKind::Load, 1),
+                    ]
+                }),
+        );
+        ops.push(Op::Candidates(batch));
         ops.extend(verify);
         ops.extend(gen_stream(rng).into_iter().take(10));
     }
@@ -294,36 +308,6 @@ fn pinned_adversarial_sequences() {
                 Op::Range(page + (i as u64 % 13) * 8, 8, AccessKind::Load, 1)
             })
             .collect(),
-        // A batch re-reading a dirty MRU line must leave it dirty, and
-        // the filter must not trust the line it pointed at before.
-        vec![
-            Op::Range(0x100, 8, AccessKind::Store, 1),
-            Op::LoadBatch(vec![(0x100, 8), (0x500, 16), (0x100, 8)]),
-            Op::Range(0x108, 8, AccessKind::Store, 1),
-            Op::Range(0x900, 8, AccessKind::Load, 1),
-            Op::Range(0xd00, 8, AccessKind::Load, 1),
-        ],
-        // Spans straddling lines and a page boundary, plus zero-length
-        // spans, inside one batch.
-        vec![Op::LoadBatch(vec![
-            (0x3ff0, 32),
-            (0x3ffe, 0),
-            (0x401e, 4),
-            (0x3ff0, 32),
-        ])],
-        // As many pages as the TLB has entries: falls back.
-        vec![Op::LoadBatch(
-            (0..4u64).map(|p| (p * 0x4000 + 0x40, 8)).collect(),
-        )],
-        // Three lines of one 2-way set: falls back.
-        vec![Op::LoadBatch(vec![
-            (0x40, 8),
-            (0x440, 8),
-            (0x840, 8),
-            (0x40, 8),
-        ])],
-        // An empty batch charges nothing.
-        vec![Op::LoadBatch(Vec::new()), Op::Ops(1)],
     ];
     for (i, script) in scripts.iter().enumerate() {
         let mut fast = Hierarchy::new(small_machine());
@@ -409,13 +393,218 @@ fn access_rect_equals_row_loop_on_fast_model() {
     );
 }
 
-/// Load batches against the per-span replay on the small machine (whose
-/// 16-set L1 and 4-entry TLB put both sides of the batch precondition
-/// within reach) and on the O2, with region attribution attached. Every
-/// observable must agree after each stream, and across the run both
-/// the first-touch path and the fallback must have been taken.
+/// One candidate with `rows` 16-byte rows and no leading row.
+fn cand(cur: u64, reference: u64, stride: u64, rows: u32) -> SearchCandidate {
+    SearchCandidate {
+        cur,
+        reference,
+        stride,
+        cur_width: 16,
+        ref_width: 16,
+        rows,
+        lead_row: false,
+    }
+}
+
+/// Hand-written candidate batches aimed at each part of the reduction,
+/// each with the path it must take (`true` = first-touch reduction,
+/// `false` = per-span fallback). The batch is followed by stores back
+/// over its spans and conflicting loads, so the recency it leaves
+/// behind is observed too.
 #[test]
-fn load_batches_are_counter_identical() {
+fn pinned_candidate_batches() {
+    let scripts: Vec<(&str, Vec<SearchCandidate>, bool)> = vec![
+        (
+            // Rows straddling two lines in both planes.
+            "line straddle",
+            vec![SearchCandidate {
+                ref_width: 17,
+                ..cand(0x11e, 0x83c, 64, 2)
+            }],
+            true,
+        ),
+        (
+            // A current row straddling pages 0/1 and reference rows on
+            // pages 1 and 2: three pages, under the 4-entry TLB.
+            "page crossing",
+            vec![
+                cand(0x3ff8, 0x7fe8, 64, 3),
+                SearchCandidate {
+                    ref_width: 17,
+                    ..cand(0x3ff8, 0x7fe9, 64, 2)
+                },
+            ],
+            true,
+        ),
+        (
+            // Vertical half-pel: each candidate reads one leading
+            // reference row ahead of its first current row.
+            "half-pel leading row",
+            (0..3u64)
+                .map(|i| SearchCandidate {
+                    ref_width: 16 + (i % 2) as u32,
+                    lead_row: i != 1,
+                    ..cand(0x1000, 0x2040 + i * 32, 64, 4 - i as u32)
+                })
+                .collect(),
+            true,
+        ),
+        (
+            // An advanced-prediction refinement: 25 displacements of an
+            // 8×8 block, rows cut off at varying depths.
+            "8x8 refine",
+            (0..25u64)
+                .map(|i| SearchCandidate {
+                    cur_width: 8,
+                    ref_width: 8,
+                    rows: 8 - (i * 3 % 8) as u32,
+                    ..cand(0x2000, 0x6000 + (i / 5) * 32 + i % 5, 32, 0)
+                })
+                .collect(),
+            true,
+        ),
+        (
+            // 0x100, 0x500 and 0x900 share L1 set 8: three lines in a
+            // 2-way set.
+            "over assoc",
+            vec![cand(0x100, 0x900, 0x400, 2), cand(0x100, 0x901, 0x400, 1)],
+            false,
+        ),
+        (
+            // Four pages, no set holding more than one line: as many
+            // pages as the TLB has entries.
+            "TLB overflow",
+            vec![cand(0x40, 0x8080, 0x4020, 2)],
+            false,
+        ),
+        (
+            // Candidates for three runs over two current blocks (and a
+            // leading row in the middle run): the current rows are
+            // charged per run, in run order.
+            "mixed current blocks",
+            vec![
+                cand(0x1000, 0x3000, 64, 3),
+                cand(0x1000, 0x3001, 64, 1),
+                SearchCandidate {
+                    lead_row: true,
+                    ..cand(0x1220, 0x3002, 64, 2)
+                },
+                cand(0x1220, 0x3003, 64, 4),
+                cand(0x1000, 0x3004, 64, 2),
+            ],
+            true,
+        ),
+        (
+            // Degenerate shapes: a candidate that visited no rows and a
+            // zero-width current row (it still touches one line).
+            "degenerate",
+            vec![
+                cand(0x400, 0x800, 64, 0),
+                SearchCandidate {
+                    cur_width: 0,
+                    ..cand(0x400, 0x800, 64, 2)
+                },
+            ],
+            true,
+        ),
+    ];
+    let regions = [Region {
+        tag: "plane".into(),
+        base: 0,
+        bytes: 64 * 1024,
+    }];
+    for (name, batch, fast_path) in &scripts {
+        let mut fast = Hierarchy::new(small_machine());
+        let mut naive = NaiveHierarchy::new(small_machine());
+        fast.attach_regions(&regions);
+        naive.attach_regions(&regions);
+        // Warm (and dirty) a line the batch reads and one in a set it
+        // uses, so hits and a writeback are both in play.
+        let warm = [
+            Op::Range(batch[0].cur, 8, AccessKind::Store, 1),
+            Op::Range(batch[0].reference + 0x400, 8, AccessKind::Store, 1),
+        ];
+        let mut ops = warm.to_vec();
+        ops.push(Op::Candidates(batch.clone()));
+        for &(a, l) in spans_of(batch).iter().rev() {
+            ops.push(Op::Range(a, l, AccessKind::Store, 1));
+            ops.push(Op::Range(a + 1024, 8, AccessKind::Load, 1));
+        }
+        apply(&mut fast, &ops);
+        apply(&mut naive, &ops);
+        assert_models_equal(&fast, &naive);
+        let expected = (1, u64::from(!fast_path));
+        assert_eq!(fast.load_batch_stats(), expected, "{name}: wrong path");
+    }
+
+    // A batch re-reading a dirty MRU line must leave it dirty, and the
+    // MRU filter must not trust the line it pointed at before. An empty
+    // batch charges nothing and counts as no batch.
+    let script = vec![
+        Op::Range(0x100, 8, AccessKind::Store, 1),
+        Op::Candidates(vec![cand(0x100, 0x500, 64, 2)]),
+        Op::Candidates(Vec::new()),
+        Op::Range(0x108, 8, AccessKind::Store, 1),
+        Op::Range(0x900, 8, AccessKind::Load, 1),
+        Op::Range(0xd00, 8, AccessKind::Load, 1),
+    ];
+    let mut fast = Hierarchy::new(small_machine());
+    let mut naive = NaiveHierarchy::new(small_machine());
+    apply(&mut fast, &script);
+    apply(&mut naive, &script);
+    assert_models_equal(&fast, &naive);
+    assert_eq!(fast.load_batch_stats(), (1, 0));
+}
+
+/// The order of one candidate's own spans decides the recency they
+/// leave behind. With a leading reference row, current row 1 is charged
+/// after reference row 1; here the two share an L1 set (and the region
+/// tags differ), so after one conflicting load only the right order
+/// evicts the right line and attributes the re-read miss correctly.
+#[test]
+fn leading_row_charge_order_sets_recency() {
+    let regions = [
+        Region {
+            tag: "cur".into(),
+            base: 0x1000,
+            bytes: 0x1000,
+        },
+        Region {
+            tag: "ref".into(),
+            base: 0x2000,
+            bytes: 0x1000,
+        },
+    ];
+    // Spans: cur 0x1000, ref 0x2000 (leading), ref 0x2040, cur 0x1040,
+    // ref 0x2080. 0x1040, 0x2040 and 0x3040 share L1 set 2.
+    let batch = vec![SearchCandidate {
+        lead_row: true,
+        ..cand(0x1000, 0x2000, 64, 2)
+    }];
+    let ops = vec![
+        Op::Candidates(batch),
+        Op::Range(0x3040, 8, AccessKind::Load, 1),
+        Op::Range(0x1040, 8, AccessKind::Load, 1),
+        Op::Range(0x2040, 8, AccessKind::Load, 1),
+    ];
+    let mut fast = Hierarchy::new(small_machine());
+    let mut naive = NaiveHierarchy::new(small_machine());
+    fast.attach_regions(&regions);
+    naive.attach_regions(&regions);
+    apply(&mut fast, &ops);
+    apply(&mut naive, &ops);
+    assert_models_equal(&fast, &naive);
+    assert_eq!(fast.load_batch_stats(), (1, 0));
+}
+
+/// Candidate batches against the per-span replay on the small machine
+/// (whose 16-set L1 and 4-entry TLB put both sides of the batch
+/// precondition within reach) and on the O2, with region attribution
+/// attached. Every observable must agree after each stream, and across
+/// the run both the first-touch path and the fallback must have been
+/// taken.
+#[test]
+fn candidate_batches_are_counter_identical() {
     let regions = [
         Region {
             tag: "cur".into(),
@@ -430,7 +619,7 @@ fn load_batches_are_counter_identical() {
     ];
     let small_paths = Cell::new((0u64, 0u64));
     check(
-        "fastpath/load_batches",
+        "fastpath/candidate_batches",
         &Config::default(),
         gen_batch_stream,
         |ops| {

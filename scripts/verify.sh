@@ -63,6 +63,12 @@ echo "== charging fast-path differential (offline) =="
 cargo test -q --offline -p m4ps-memsim --test fastpath_equiv
 cargo test -q --offline -p m4ps-codec --test fastpath_encode
 
+# The repository benchmark is its own package (not a workspace member)
+# and implements MemModel itself (perfbench/src/counting.rs), so a trait
+# change can break it without the workspace run noticing.
+echo "== benchmark package build + self-test (offline) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Observability smoke: traced encode, trace JSON round-trip, and the
 # per-phase JSONL the bench gate annotates its report with.
 scripts/trace_smoke.sh
