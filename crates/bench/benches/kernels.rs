@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the computational and simulation kernels: DCT,
-//! SAD, quantization, arithmetic coding, bitstream I/O, and the
-//! cache-hierarchy probe itself.
+//! SAD, quantization, arithmetic coding, bitstream I/O, the
+//! cache-hierarchy probe itself, and scene synthesis.
 //!
 //! Runs on the in-tree [`m4ps_testkit::bench`] runner (`harness =
 //! false`); results are written to `BENCH_kernels.json`. Pass `--smoke`
@@ -322,6 +322,37 @@ fn bench_search_charging(r: &mut BenchRunner) {
     });
 }
 
+/// Scene synthesis, the stand-in for reading a source frame from disk:
+/// a fresh `Scene`'s first frame (which builds its texture memo) and a
+/// warm `Scene`'s frames (a lookup plus sensor noise).
+fn bench_vidgen(r: &mut BenchRunner) {
+    use m4ps_vidgen::{Resolution, Scene, SceneSpec};
+
+    let scene = |resolution: Resolution| {
+        Scene::new(SceneSpec {
+            resolution,
+            objects: 3,
+            seed: 0x4d50_4547,
+        })
+    };
+    let pal = Resolution::PAL.frame_bytes() as u64;
+    r.bench_bytes("vidgen/frame_pal_cold", pal, || {
+        scene(Resolution::PAL).frame(black_box(0))
+    });
+    for (name, res) in [
+        ("vidgen/frame_pal", Resolution::PAL),
+        ("vidgen/frame_qcif", Resolution::QCIF),
+    ] {
+        let warm = scene(res);
+        let _ = warm.frame(29);
+        let mut t = 0;
+        r.bench_bytes(name, res.frame_bytes() as u64, || {
+            t = (t + 1) % 30;
+            warm.frame(black_box(t))
+        });
+    }
+}
+
 fn bench_parallel(r: &mut BenchRunner) {
     use m4ps_memsim::NullModel;
     use m4ps_vidgen::{Resolution, Scene, SceneSpec};
@@ -638,6 +669,7 @@ fn main() {
     bench_arith(&mut r);
     bench_memsim(&mut r);
     bench_search_charging(&mut r);
+    bench_vidgen(&mut r);
     bench_parallel(&mut r);
     bench_parallel_decode(&mut r);
     bench_obs_overhead(&mut r);

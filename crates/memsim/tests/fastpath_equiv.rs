@@ -142,6 +142,72 @@ fn gen_batch(rng: &mut Rng) -> Vec<SearchCandidate> {
     batch
 }
 
+/// Generates a batch shaped like one whole motion search, the pattern
+/// that run-length stamping of consecutive candidates would exploit:
+/// one current block, one reference origin, one width and one
+/// leading-row flag for the batch, and visited rows 1..=16 per
+/// candidate, mostly short as SAD cutoffs leave them. Three in four
+/// batches sweep (dy, dx) over ±r in raster order, r in 1..=8; the rest
+/// follow a diamond search, stepping to negative offsets and back.
+/// Strides are plane widths: 752 ≡ 16 (mod 32) shifts every other row
+/// by half a line, 1024 folds rows onto few sets.
+fn gen_search_batch(rng: &mut Rng) -> Vec<SearchCandidate> {
+    let stride = *rng.choose(&[752u64, 736, 208, 1024]);
+    let cur = 0x1000 * u64::from(rng.gen_range(0u32..32)) + u64::from(rng.gen_range(0u32..32));
+    // Room for ±8 displacements on both axes.
+    let center = 128 * 1024
+        + 0x1000 * u64::from(rng.gen_range(0u32..16))
+        + 8 * stride
+        + 8
+        + u64::from(rng.gen_range(0u32..32));
+    let size = *rng.choose(&[8u32, 16]);
+    let ref_width = size + rng.gen_range(0u32..2);
+    let lead_row = rng.gen_bool();
+    let offsets: Vec<(i64, i64)> = if rng.gen_range(0u32..4) == 0 {
+        const LARGE: [(i64, i64); 8] = [
+            (0, -2),
+            (-1, -1),
+            (1, -1),
+            (-2, 0),
+            (2, 0),
+            (-1, 1),
+            (1, 1),
+            (0, 2),
+        ];
+        const SMALL: [(i64, i64); 4] = [(0, -1), (-1, 0), (1, 0), (0, 1)];
+        let mut c = (0i64, 0i64);
+        let mut out = vec![c];
+        for _ in 0..rng.gen_range(1u32..=4) {
+            out.extend(LARGE.iter().map(|&(dx, dy)| (c.0 + dx, c.1 + dy)));
+            let (dx, dy) = *rng.choose(&LARGE);
+            c = ((c.0 + dx).clamp(-6, 6), (c.1 + dy).clamp(-6, 6));
+        }
+        out.extend(SMALL.iter().map(|&(dx, dy)| (c.0 + dx, c.1 + dy)));
+        out
+    } else {
+        let r = i64::from(rng.gen_range(1u32..=8));
+        (-r..=r)
+            .flat_map(|dy| (-r..=r).map(move |dx| (dx, dy)))
+            .collect()
+    };
+    offsets
+        .into_iter()
+        .map(|(dx, dy)| SearchCandidate {
+            cur,
+            reference: center.wrapping_add_signed(dy * stride as i64 + dx),
+            stride,
+            cur_width: size,
+            ref_width,
+            rows: if rng.gen_range(0u32..4) == 0 {
+                rng.gen_range(1u32..=16)
+            } else {
+                rng.gen_range(1u32..=3)
+            },
+            lead_row,
+        })
+        .collect()
+}
+
 /// The load spans `batch` expands to, in charge order.
 fn spans_of(batch: &[SearchCandidate]) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
@@ -158,9 +224,14 @@ fn spans_of(batch: &[SearchCandidate]) -> Vec<(u64, u64)> {
 /// What those miss, evict and write back depends on the recency order
 /// and residency the batch left behind in all three structures.
 fn gen_batch_stream(rng: &mut Rng) -> Vec<Op> {
+    batch_stream(rng, gen_batch)
+}
+
+/// [`gen_batch_stream`] with the batches drawn by `gen`.
+fn batch_stream(rng: &mut Rng, gen: fn(&mut Rng) -> Vec<SearchCandidate>) -> Vec<Op> {
     let mut ops = gen_stream(rng);
     for _ in 0..rng.gen_range(1u32..5) {
-        let batch = gen_batch(rng);
+        let batch = gen(rng);
         let fresh_pages = u64::from(rng.gen_range(0u32..4));
         let mut verify: Vec<Op> = (0..fresh_pages)
             .map(|p| Op::Range(0x100_0000 + p * 0x4000, 8, AccessKind::Load, 1))
@@ -646,6 +717,59 @@ fn candidate_batches_are_counter_identical() {
         },
     );
     let (batches, fallbacks) = small_paths.get();
+    assert!(fallbacks > 0, "no batch fell back ({batches} batches)");
+    assert!(
+        fallbacks < batches,
+        "no batch took the first-touch path ({batches} batches)"
+    );
+}
+
+/// Whole-search batches (raster sweeps and diamond walks) against the
+/// per-span replay, on the small machine and the O2 with region
+/// attribution attached. Consecutive candidates share their line
+/// pattern here, unlike in [`gen_batch`]; both the first-touch path and
+/// the fallback must run.
+#[test]
+fn search_shaped_batches_are_counter_identical() {
+    let regions = [
+        Region {
+            tag: "cur".into(),
+            base: 0,
+            bytes: 128 * 1024,
+        },
+        Region {
+            tag: "ref".into(),
+            base: 128 * 1024,
+            bytes: 128 * 1024,
+        },
+    ];
+    let paths = Cell::new((0u64, 0u64));
+    check(
+        "fastpath/search_shaped_batches",
+        &Config::default(),
+        |rng: &mut Rng| batch_stream(rng, gen_search_batch),
+        |ops| {
+            for machine in [small_machine(), MachineSpec::o2()] {
+                let mut fast = Hierarchy::new(machine.clone());
+                let mut naive = NaiveHierarchy::new(machine);
+                fast.attach_regions(&regions);
+                naive.attach_regions(&regions);
+                apply(&mut fast, ops);
+                apply(&mut naive, ops);
+                prop_assert_eq!(fast.counters(), naive.counters());
+                prop_assert_eq!(fast.dram().bytes_read(), naive.dram().bytes_read());
+                prop_assert_eq!(fast.dram().bytes_written(), naive.dram().bytes_written());
+                prop_assert_eq!(fast.region_misses(), naive.region_misses());
+                prop_assert_eq!(fast.tlb().lookups(), naive.tlb().lookups());
+                prop_assert_eq!(fast.l1().stats(), naive.l1().stats());
+                let (batches, fallbacks) = fast.load_batch_stats();
+                let (b, f) = paths.get();
+                paths.set((b + batches, f + fallbacks));
+            }
+            Ok(())
+        },
+    );
+    let (batches, fallbacks) = paths.get();
     assert!(fallbacks > 0, "no batch fell back ({batches} batches)");
     assert!(
         fallbacks < batches,

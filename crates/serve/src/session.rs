@@ -149,7 +149,9 @@ struct DecodeWork {
 }
 
 enum Work {
-    Encode(EncodeWork),
+    // Boxed: an encode session's state (its `Scene` and encoder) is
+    // more than twice the size of a decode session's.
+    Encode(Box<EncodeWork>),
     Decode(DecodeWork),
 }
 
@@ -200,12 +202,12 @@ impl<M: ParallelModel> Session<M> {
                 if let Some(s) = sched {
                     enc.set_scheduling(s);
                 }
-                Work::Encode(EncodeWork {
+                Work::Encode(Box::new(EncodeWork {
                     scene,
                     enc,
                     mask_storage: Vec::with_capacity(spec.objects),
                     streams: None,
-                })
+                }))
             }
             SessionMode::Decode(streams) => {
                 let streams = streams.clone();
