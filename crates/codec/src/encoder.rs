@@ -186,10 +186,7 @@ struct BSlot {
 /// the paper's Figure 1 semantics.
 #[derive(Debug)]
 pub struct VideoObjectCoder {
-    config: EncoderConfig,
     vol: VolHeader,
-    mb_cols: usize,
-    mb_rows: usize,
     cur: TracedFrame,
     cur_alpha: Option<TracedPlane>,
     cur_bbox: Bbox,
@@ -200,14 +197,21 @@ pub struct VideoObjectCoder {
     prev_anchor: usize,
     have_anchor: bool,
     b_recon: TracedFrame,
-    /// Per-slot reconstruction buffers for the pipelined (fixed-QP)
-    /// B-drain, where queued B-VOPs encode concurrently and cannot
-    /// share `b_recon`. Allocated at the *end* of the address space so
-    /// the legacy layout's simulated addresses are unchanged.
-    b_recons: Vec<TracedFrame>,
-    /// Per-slot slice scratch for the pipelined B-drain (each
-    /// concurrent VOP needs its own texture clones and MV predictors).
-    b_scratch: Vec<Vec<SliceScratch>>,
+    next_display: usize,
+    display_scale: usize,
+    display_offset: usize,
+    vop: VopCoder,
+}
+
+/// The state every VOP's coding shares, whichever frame buffers it
+/// reads and writes. Kept apart from those buffers so
+/// [`VopCoder::code`] can borrow a VOP's source, references and
+/// reconstruction target straight from the [`VideoObjectCoder`].
+#[derive(Debug)]
+struct VopCoder {
+    config: EncoderConfig,
+    mb_cols: usize,
+    mb_rows: usize,
     texture: TextureCoder,
     /// Reusable per-slice coding state (texture scratch clones and MV
     /// predictors), grown on first use and recycled every VOP so the
@@ -215,9 +219,6 @@ pub struct VideoObjectCoder {
     slice_scratch: Vec<SliceScratch>,
     search: MotionSearch,
     rate: RateController,
-    next_display: usize,
-    display_scale: usize,
-    display_offset: usize,
     stream_base: u64,
     stream_bits: u64,
     keep_recon: bool,
@@ -320,19 +321,8 @@ impl VideoObjectCoder {
             space.set_tag("untagged");
             base
         };
-        // Everything below is appended past the legacy layout: the
-        // cursor only ever grows, so these allocations leave every
-        // existing simulated address (and therefore every charge
-        // stream that doesn't use them) untouched.
-        space.set_tag("enc.b_recon");
-        let b_recons = (0..config.gop.b_frames)
-            .map(|_| TracedFrame::new(space, width, height))
-            .collect();
-        space.set_tag("untagged");
         Ok(VideoObjectCoder {
             vol,
-            mb_cols: width / 16,
-            mb_rows: height / 16,
             cur,
             cur_alpha,
             cur_bbox: (0, 0, 0, 0),
@@ -343,23 +333,25 @@ impl VideoObjectCoder {
             prev_anchor: 0,
             have_anchor: false,
             b_recon,
-            b_recons,
-            b_scratch: Vec::new(),
-            texture,
-            slice_scratch: Vec::new(),
-            search: MotionSearch::new(config.search, config.search_range, config.half_pel),
-            rate: RateController::new(config.initial_qp, config.bitrate, config.frame_rate),
             next_display: 0,
             display_scale: 1,
             display_offset: 0,
-            stream_base,
-            stream_bits: 0,
-            keep_recon: false,
-            pool: None,
-            threads_hint: 0,
-            sched: Scheduling::from_env(),
-            vop_window: m4ps_memsim::Counters::new(),
-            config,
+            vop: VopCoder {
+                mb_cols: width / 16,
+                mb_rows: height / 16,
+                texture,
+                slice_scratch: Vec::new(),
+                search: MotionSearch::new(config.search, config.search_range, config.half_pel),
+                rate: RateController::new(config.initial_qp, config.bitrate, config.frame_rate),
+                stream_base,
+                stream_bits: 0,
+                keep_recon: false,
+                pool: None,
+                threads_hint: 0,
+                sched: Scheduling::from_env(),
+                vop_window: m4ps_memsim::Counters::new(),
+                config,
+            },
         })
     }
 
@@ -373,9 +365,14 @@ impl VideoObjectCoder {
     /// parallelism.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.clamp(1, 256);
-        self.threads_hint = threads;
-        if self.pool.as_ref().is_some_and(|p| p.threads() != threads) {
-            self.pool = None;
+        self.vop.threads_hint = threads;
+        if self
+            .vop
+            .pool
+            .as_ref()
+            .is_some_and(|p| p.threads() != threads)
+        {
+            self.vop.pool = None;
         }
     }
 
@@ -385,13 +382,13 @@ impl VideoObjectCoder {
     /// one pool to every session — so workers are spawned once and
     /// parked between VOPs instead of re-created per coder.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.threads_hint = pool.threads();
-        self.pool = Some(pool);
+        self.vop.threads_hint = pool.threads();
+        self.vop.pool = Some(pool);
     }
 
     /// The worker thread count slices are scheduled onto.
     pub fn threads(&self) -> usize {
-        match (&self.pool, self.threads_hint) {
+        match (&self.vop.pool, self.vop.threads_hint) {
             (Some(p), _) => p.threads(),
             (None, 0) => {
                 m4ps_pool::resolve_threads(std::env::var(m4ps_pool::THREADS_ENV).ok().as_deref())
@@ -400,28 +397,15 @@ impl VideoObjectCoder {
         }
     }
 
-    /// The pool VOP work is scheduled onto, created on first use.
-    fn pool_handle(&mut self) -> Arc<WorkerPool> {
-        if self.pool.is_none() {
-            let pool = if self.threads_hint > 0 {
-                WorkerPool::new(self.threads_hint)
-            } else {
-                WorkerPool::from_env()
-            };
-            self.pool = Some(Arc::new(pool));
-        }
-        Arc::clone(self.pool.as_ref().expect("pool just created"))
-    }
-
     /// Selects how VOP work is decomposed onto the pool (see
     /// [`Scheduling`]). Output is bit-identical across modes.
     pub fn set_scheduling(&mut self, sched: Scheduling) {
-        self.sched = sched;
+        self.vop.sched = sched;
     }
 
     /// The active scheduling mode.
     pub fn scheduling(&self) -> Scheduling {
-        self.sched
+        self.vop.sched
     }
 
     /// The VOL header describing this layer.
@@ -438,7 +422,7 @@ impl VideoObjectCoder {
 
     /// Keep raw reconstruction copies in every [`EncodedVop`] (testing).
     pub fn set_keep_recon(&mut self, keep: bool) {
-        self.keep_recon = keep;
+        self.vop.keep_recon = keep;
     }
 
     /// Maps internal frame numbering to stream display indices as
@@ -454,7 +438,7 @@ impl VideoObjectCoder {
     /// Counter deltas accumulated over every `encode_vop` window so far
     /// — the paper's `VopCode()` burstiness instrumentation.
     pub fn vop_window(&self) -> m4ps_memsim::Counters {
-        self.vop_window
+        self.vop.vop_window
     }
 
     /// Reconstruction of the most recent anchor (reference for temporal
@@ -465,9 +449,10 @@ impl VideoObjectCoder {
 
     /// Coding type of display index `idx` under the configured GOP.
     fn kind_for(&self, idx: usize) -> VopKind {
-        if idx.is_multiple_of(self.config.gop.intra_period) {
+        let gop = self.vop.config.gop;
+        if idx.is_multiple_of(gop.intra_period) {
             VopKind::I
-        } else if idx.is_multiple_of(self.config.gop.b_frames + 1) {
+        } else if idx.is_multiple_of(gop.b_frames + 1) {
             VopKind::P
         } else {
             VopKind::B
@@ -518,7 +503,7 @@ impl VideoObjectCoder {
                         frame.y,
                         frame.u,
                         frame.v,
-                        self.config.software_prefetch,
+                        self.vop.config.software_prefetch,
                     );
                 }
                 if let (Some(plane), Some(mask)) = (slot.alpha.as_mut(), alpha) {
@@ -541,6 +526,20 @@ impl VideoObjectCoder {
 
         // Anchor path (also handles a B that could not queue: encode as P).
         let kind = if kind == VopKind::B { VopKind::P } else { kind };
+        self.load_cur(mem, frame, alpha);
+        let mut out = Vec::with_capacity(1 + self.queue_len);
+        out.push(self.encode_anchor(mem, kind, idx, None));
+        out.extend(self.drain_b_queue(mem));
+        Ok(out)
+    }
+
+    /// Loads `frame`, and a shape layer's mask, into `self.cur`.
+    fn load_cur<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        frame: &FrameView<'_>,
+        alpha: Option<&[u8]>,
+    ) {
         span!(mem, Phase::FrameIo, {
             if let Some(mask) = alpha {
                 // Shaped objects load only their VOP-sized region.
@@ -553,7 +552,7 @@ impl VideoObjectCoder {
                     frame.y,
                     frame.u,
                     frame.v,
-                    self.config.software_prefetch,
+                    self.vop.config.software_prefetch,
                 );
             }
             if let (Some(plane), Some(mask)) = (self.cur_alpha.as_mut(), alpha) {
@@ -566,397 +565,77 @@ impl VideoObjectCoder {
                 self.cur_bbox = bbox;
             }
         });
-        let mut out = Vec::with_capacity(1 + self.queue_len);
-        out.push(self.encode_anchor_from_cur(mem, kind, idx));
-        out.extend(self.drain_b_queue(mem));
-        Ok(out)
     }
 
-    /// Encodes the frame currently in `self.cur` as an anchor.
-    fn encode_anchor_from_cur<M: ParallelModel>(
+    /// Encodes an anchor from `self.cur`, or from B slot `q` when
+    /// `queued` is `Some(q)`, into the anchor buffer that does not hold
+    /// the newest reference, and makes it the newest reference.
+    fn encode_anchor<M: ParallelModel>(
         &mut self,
         mem: &mut M,
         kind: VopKind,
         display_index: usize,
+        queued: Option<usize>,
     ) -> EncodedVop {
         let kind = if self.have_anchor { kind } else { VopKind::I };
-        let qp = self.rate.qp_for(kind);
         let new_idx = if self.have_anchor {
             1 - self.prev_anchor
         } else {
             0
         };
-        let header = VopHeader {
-            kind,
-            display_index: display_index as u32,
-            qp,
-            bbox: None, // filled inside encode_vop for shape layers
-            resync_interval: self.config.resync_mb_interval,
-            slices: self.config.slices,
+        let (cur, alpha) = match queued {
+            Some(q) => {
+                let slot = &self.b_slots[q];
+                (&slot.frame, slot.alpha.as_ref().map(|a| (a, slot.bbox)))
+            }
+            None => (
+                &self.cur,
+                self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
+            ),
         };
-        let window_start = *mem.counters();
-        // The VopEncode span reuses the paper's `VopCode()` counter
-        // window: enter on the snapshot already taken for `vop_window`.
-        let obs_on = m4ps_obs::enabled();
-        if obs_on {
-            m4ps_obs::enter(Phase::VopEncode, window_start);
-        }
-        let pool = self.pool_handle();
-        let (left, right) = self.anchors.split_at_mut(1);
-        let (fwd, recon): (Option<&TracedFrame>, &mut TracedFrame) = if new_idx == 0 {
-            (
-                (kind != VopKind::I && self.have_anchor).then_some(&right[0]),
-                &mut left[0],
-            )
-        } else {
-            (
-                (kind != VopKind::I && self.have_anchor).then_some(&left[0]),
-                &mut right[0],
-            )
-        };
-        let (bytes, stats) = encode_vop(
+        let [a0, a1] = &mut self.anchors;
+        let (recon, prev) = if new_idx == 0 { (a0, &*a1) } else { (a1, &*a0) };
+        // Rectangular VOPs pad the whole reference frame; shaped VOPs
+        // are padded VOP-locally (the grey ring around the bounding
+        // box), as the reference codec pads VOP buffers.
+        let vop = self.vop.code(
             mem,
-            header,
-            &self.cur,
-            self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
-            fwd,
-            None,
-            recon,
-            &self.texture,
-            &mut self.slice_scratch,
-            &self.search,
-            self.stream_base + self.stream_bits / 8,
-            self.mb_cols,
-            self.mb_rows,
-            self.config.four_mv,
-            &pool,
-            self.sched,
-        );
-        if !self.vol.binary_shape {
-            // Rectangular VOPs pad the whole reference frame; shaped
-            // VOPs are padded VOP-locally (the grey ring around the
-            // bounding box), as the reference codec pads VOP buffers.
-            recon.pad_borders(mem);
-        }
-        if obs_on {
-            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-        }
-        self.vop_window = self
-            .vop_window
-            .merged_with(&mem.counters().delta_since(&window_start));
-        let recon_copy = self.keep_recon.then(|| ReconPlanes {
-            y: recon.y.copy_out(mem),
-            u: recon.u.copy_out(mem),
-            v: recon.v.copy_out(mem),
-        });
-        self.stream_bits += stats.bits;
-        self.rate.update(kind, stats.bits);
-        self.prev_anchor = new_idx;
-        self.have_anchor = true;
-        EncodedVop {
             kind,
             display_index,
-            qp,
-            bytes,
-            stats,
-            recon: recon_copy,
-        }
+            cur,
+            alpha,
+            (kind != VopKind::I).then_some(prev),
+            None,
+            recon,
+            !self.vol.binary_shape,
+        );
+        self.prev_anchor = new_idx;
+        self.have_anchor = true;
+        vop
     }
 
-    /// Encodes every queued B-frame against the two live anchors.
-    ///
-    /// Fixed-QP sessions (no rate controller feedback between VOPs)
-    /// take the pipelined path: the whole queue is encoded as one
-    /// batch of slice chains on the pool, so VOP N+1's motion search
-    /// overlaps VOP N's texture-coding drain. Rate-controlled sessions
-    /// keep the sequential loop — each VOP's bit count feeds the next
-    /// VOP's quantizer, a true dependency the pipeline must not break.
+    /// Encodes every queued B-frame, one VOP after another, against the
+    /// two live anchors: forward from the older, backward from the
+    /// newer. Under rate control each VOP's bit count sets the next
+    /// one's quantizer.
     fn drain_b_queue<M: ParallelModel>(&mut self, mem: &mut M) -> Vec<EncodedVop> {
-        if self.queue_len == 0 {
-            return Vec::new();
-        }
-        if self.config.bitrate.is_none() {
-            return self.drain_b_queue_pipelined(mem);
-        }
+        let older = 1 - self.prev_anchor;
+        let (fwd, bwd) = (&self.anchors[older], &self.anchors[1 - older]);
         let mut out = Vec::with_capacity(self.queue_len);
-        let pool = self.pool_handle();
-        for q in 0..self.queue_len {
-            let qp = self.rate.qp_for(VopKind::B);
-            let slot = &self.b_slots[q];
-            let header = VopHeader {
-                kind: VopKind::B,
-                display_index: slot.display_index as u32,
-                qp,
-                bbox: None,
-                resync_interval: self.config.resync_mb_interval,
-                slices: self.config.slices,
-            };
-            let window_start = *mem.counters();
-            let obs_on = m4ps_obs::enabled();
-            if obs_on {
-                m4ps_obs::enter(Phase::VopEncode, window_start);
-            }
-            // Forward ref is the *older* anchor, backward the newer.
-            let older = 1 - self.prev_anchor;
-            let (left, right) = self.anchors.split_at_mut(1);
-            let (fwd, bwd) = if older == 0 {
-                (&left[0], &right[0])
-            } else {
-                (&right[0], &left[0])
-            };
-            let (bytes, stats) = encode_vop(
+        for slot in &self.b_slots[..self.queue_len] {
+            out.push(self.vop.code(
                 mem,
-                header,
+                VopKind::B,
+                slot.display_index,
                 &slot.frame,
                 slot.alpha.as_ref().map(|a| (a, slot.bbox)),
                 Some(fwd),
                 Some(bwd),
                 &mut self.b_recon,
-                &self.texture,
-                &mut self.slice_scratch,
-                &self.search,
-                self.stream_base + self.stream_bits / 8,
-                self.mb_cols,
-                self.mb_rows,
-                self.config.four_mv,
-                &pool,
-                self.sched,
-            );
-            if obs_on {
-                m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-            }
-            self.vop_window = self
-                .vop_window
-                .merged_with(&mem.counters().delta_since(&window_start));
-            let recon_copy = self.keep_recon.then(|| ReconPlanes {
-                y: self.b_recon.y.copy_out(mem),
-                u: self.b_recon.u.copy_out(mem),
-                v: self.b_recon.v.copy_out(mem),
-            });
-            self.stream_bits += stats.bits;
-            self.rate.update(VopKind::B, stats.bits);
-            out.push(EncodedVop {
-                kind: VopKind::B,
-                display_index: slot.display_index,
-                qp,
-                bytes,
-                stats,
-                recon: recon_copy,
-            });
-        }
-        self.queue_len = 0;
-        out
-    }
-
-    /// Pipelined fixed-QP B-drain: every queued B-VOP's slice chains
-    /// are spawned into *one* pool scope, so the scheduler interleaves
-    /// motion estimation for VOP N+1 with VOP N's texture-coding drain
-    /// whenever a worker runs dry. The bitstream is byte-identical to
-    /// the sequential drain (same quantizer, inputs and anchors into
-    /// fresh writers); merged counters stay deterministic because every
-    /// VOP charges a private window at
-    /// `batch_base + k * (slices + 2) * SLICE_CHARGE_SPAN` — a function
-    /// of queue position alone, never of scheduling.
-    fn drain_b_queue_pipelined<M: ParallelModel>(&mut self, mem: &mut M) -> Vec<EncodedVop> {
-        /// Coordinator-side header state for one queued VOP: `head`
-        /// holds a finished (byte-aligned) header segment for sliced
-        /// VOPs; `inline` carries the still-open writer and charge
-        /// state into an unsliced VOP's single chain.
-        struct Prep {
-            hdr: VopHeader,
-            slice_rows: Vec<Range<usize>>,
-            mbx_range: Range<usize>,
-            mby_start: usize,
-            header_bits: u64,
-            head: Option<BitWriter>,
-            inline: Option<(BitWriter, StreamCharge)>,
-        }
-
-        let n = self.queue_len;
-        self.queue_len = 0;
-        let qp = self.rate.qp_for(VopKind::B);
-        let batch_base = self.stream_base + self.stream_bits / 8;
-        let vop_span = (self.config.slices as u64 + 2) * SLICE_CHARGE_SPAN;
-
-        let window_start = *mem.counters();
-        let obs_on = m4ps_obs::enabled();
-        if obs_on {
-            m4ps_obs::enter(Phase::VopEncode, window_start);
-        }
-
-        // Pass A (coordinator, VOP order): headers, alpha planes and
-        // their stream charges against the parent model, exactly as the
-        // sequential drain would have produced them.
-        let mut preps: Vec<Prep> = Vec::with_capacity(n);
-        for k in 0..n {
-            let slot = &self.b_slots[k];
-            let alpha = slot.alpha.as_ref().map(|a| (a, slot.bbox));
-            let bbox = alpha.map(|(_, b)| b);
-            let mut hdr = VopHeader {
-                kind: VopKind::B,
-                display_index: slot.display_index as u32,
-                qp,
-                bbox,
-                resync_interval: self.config.resync_mb_interval,
-                slices: self.config.slices,
-            };
-            let (mbx_range, mby_range) = match bbox {
-                Some((x0, y0, bw, bh)) => (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16),
-                None => (0..self.mb_cols, 0..self.mb_rows),
-            };
-            let slice_rows = partition_rows(mby_range.clone(), hdr.slices);
-            hdr.slices = slice_rows.len();
-            let mut w = BitWriter::new();
-            let mut charge = StreamCharge::writer(batch_base + k as u64 * vop_span);
-            hdr.write(&mut w);
-            if let Some((a, b)) = alpha {
-                span!(mem, Phase::Shape, encode_alpha_plane(mem, a, b, &mut w));
-            }
-            let (header_bits, head, inline) = if hdr.slices == 1 {
-                // Unsliced: macroblock bits continue straight off the
-                // header in the same writer and charge window.
-                charge.charge_to(mem, w.bit_len());
-                (0, None, Some((w, charge)))
-            } else {
-                w.stuff_to_alignment();
-                charge.charge_to(mem, w.bit_len());
-                (w.bit_len(), Some(w), None)
-            };
-            preps.push(Prep {
-                hdr,
-                slice_rows,
-                mbx_range,
-                mby_start: mby_range.start,
-                header_bits,
-                head,
-                inline,
-            });
-            while self.b_scratch.len() <= k {
-                self.b_scratch.push(Vec::new());
-            }
-        }
-        for (prep, scratch) in preps.iter().zip(self.b_scratch.iter_mut()) {
-            while scratch.len() < prep.slice_rows.len() {
-                scratch.push(SliceScratch::new(&self.texture, self.mb_cols));
-            }
-        }
-
-        let pool = self.pool_handle();
-        // Forward ref is the *older* anchor, backward the newer.
-        let older = 1 - self.prev_anchor;
-        let (fwd, bwd) = (&self.anchors[older], &self.anchors[1 - older]);
-        let ctxs: Vec<SliceCtx<'_>> = preps
-            .iter()
-            .enumerate()
-            .map(|(k, prep)| {
-                let slot = &self.b_slots[k];
-                SliceCtx {
-                    hdr: prep.hdr,
-                    cur: &slot.frame,
-                    alpha: slot.alpha.as_ref().map(|a| (a, slot.bbox)),
-                    fwd: Some(fwd),
-                    bwd: Some(bwd),
-                    search: &self.search,
-                    mbx_range: prep.mbx_range.clone(),
-                    four_mv: self.config.four_mv,
-                }
-            })
-            .collect();
-
-        // Forks happen here, sequentially, in (VOP, slice) order — the
-        // same deterministic snapshot every scheduling would see.
-        let sched = self.sched;
-        let mut chainsv: Vec<Vec<SliceChain<'_, M>>> = Vec::with_capacity(n);
-        for (((prep, ctx), recon), scratch) in preps
-            .iter_mut()
-            .zip(ctxs.iter())
-            .zip(self.b_recons.iter_mut())
-            .zip(self.b_scratch.iter_mut())
-        {
-            let views = recon.split_mb_rows_mut(&prep.slice_rows);
-            let vop_base = batch_base + (chainsv.len() as u64) * vop_span;
-            chainsv.push(build_slice_chains(
-                mem,
-                ctx,
-                &prep.slice_rows,
-                views,
-                scratch,
-                prep.mby_start,
-                vop_base,
-                sched,
-                prep.inline.take(),
+                false,
             ));
         }
-
-        // One scope for the whole batch: all VOPs' chains share the
-        // worker pool, so late rows of VOP N overlap early rows of
-        // VOP N+1.
-        let slotsv: Vec<Vec<Mutex<Option<SliceOut<M>>>>> = chainsv
-            .iter()
-            .map(|chains| chains.iter().map(|_| Mutex::new(None)).collect())
-            .collect();
-        let session = m4ps_obs::current();
-        pool.scope(session.as_ref(), |scope| {
-            for ((chains, ctx), slots) in chainsv.iter_mut().zip(ctxs.iter()).zip(slotsv.iter()) {
-                for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-                    scope.spawn(move |s| slice_chain_step(chain, ctx, slot, s));
-                }
-            }
-        });
-
-        // Merge in (VOP, slice) order while the VopEncode window is
-        // still open, so `absorbed` keeps the window from double
-        // counting the forks' traffic.
-        let mut merged: Vec<(Vec<u8>, VopStats)> = Vec::with_capacity(n);
-        for ((k, prep), slots) in preps.iter_mut().enumerate().zip(slotsv) {
-            let mut stats = VopStats::default();
-            let mut bytes = match prep.head.take() {
-                Some(w) => w.into_bytes(),
-                None => Vec::new(),
-            };
-            for slot in slots {
-                let (sbytes, sstats, smem) = slot
-                    .into_inner()
-                    .expect("slice slot lock")
-                    .expect("scope waits for every slice chain");
-                let child_total = *smem.counters();
-                mem.absorb(smem);
-                m4ps_obs::absorbed(&child_total);
-                stats.merge(&sstats);
-                bytes.extend_from_slice(&sbytes);
-            }
-            stats.bits += prep.header_bits;
-            if let Some(bbox) = prep.hdr.bbox {
-                fill_bbox_ring(mem, &mut self.b_recons[k], bbox, self.mb_cols, self.mb_rows);
-            }
-            merged.push((bytes, stats));
-        }
-
-        if obs_on {
-            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-        }
-        self.vop_window = self
-            .vop_window
-            .merged_with(&mem.counters().delta_since(&window_start));
-
-        let mut out = Vec::with_capacity(n);
-        for (k, (bytes, stats)) in merged.into_iter().enumerate() {
-            let recon_copy = self.keep_recon.then(|| ReconPlanes {
-                y: self.b_recons[k].y.copy_out(mem),
-                u: self.b_recons[k].u.copy_out(mem),
-                v: self.b_recons[k].v.copy_out(mem),
-            });
-            self.stream_bits += stats.bits;
-            self.rate.update(VopKind::B, stats.bits);
-            out.push(EncodedVop {
-                kind: VopKind::B,
-                display_index: self.b_slots[k].display_index,
-                qp,
-                bytes,
-                stats,
-                recon: recon_copy,
-            });
-        }
+        self.queue_len = 0;
         out
     }
 
@@ -970,14 +649,8 @@ impl VideoObjectCoder {
     pub fn flush<M: ParallelModel>(&mut self, mem: &mut M) -> Result<Vec<EncodedVop>, CodecError> {
         let mut out = Vec::with_capacity(self.queue_len);
         for q in 0..self.queue_len {
-            // Move the queued frame into `cur` by swapping buffers.
-            std::mem::swap(&mut self.cur, &mut self.b_slots[q].frame);
-            if self.vol.binary_shape {
-                std::mem::swap(&mut self.cur_alpha, &mut self.b_slots[q].alpha);
-                self.cur_bbox = self.b_slots[q].bbox;
-            }
             let idx = self.b_slots[q].display_index;
-            out.push(self.encode_anchor_from_cur(mem, VopKind::P, idx));
+            out.push(self.encode_anchor(mem, VopKind::P, idx, Some(q)));
         }
         self.queue_len = 0;
         Ok(out)
@@ -1006,41 +679,66 @@ impl VideoObjectCoder {
         let idx = self.next_display;
         self.next_display += 1;
         let idx = self.display_offset + self.display_scale * idx;
-        span!(mem, Phase::FrameIo, {
-            if let Some(mask) = alpha {
-                let bbox = mask_bbox(mask, self.vol.width, self.vol.height);
-                self.cur
-                    .copy_region_from_yuv(mem, frame.y, frame.u, frame.v, bbox);
+        self.load_cur(mem, frame, alpha);
+        Ok(self.vop.code(
+            mem,
+            VopKind::P,
+            idx,
+            &self.cur,
+            self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
+            Some(ext),
+            None,
+            &mut self.b_recon,
+            false,
+        ))
+    }
+}
+
+impl VopCoder {
+    /// The pool VOP work is scheduled onto, created on first use.
+    fn pool_handle(&mut self) -> Arc<WorkerPool> {
+        if self.pool.is_none() {
+            let pool = if self.threads_hint > 0 {
+                WorkerPool::new(self.threads_hint)
             } else {
-                self.cur.copy_from_yuv(
-                    mem,
-                    frame.y,
-                    frame.u,
-                    frame.v,
-                    self.config.software_prefetch,
-                );
-            }
-            if let (Some(plane), Some(mask)) = (self.cur_alpha.as_mut(), alpha) {
-                let bbox = mask_bbox(mask, plane.width(), plane.height());
-                if let Some((px, py, pw, ph)) = self.prev_alpha_bbox {
-                    plane.clear_region(mem, px, py, pw, ph);
-                }
-                plane.copy_region_from(mem, mask, bbox);
-                self.prev_alpha_bbox = Some(bbox);
-                self.cur_bbox = bbox;
-            }
-        });
-        let qp = self.rate.qp_for(VopKind::P);
+                WorkerPool::from_env()
+            };
+            self.pool = Some(Arc::new(pool));
+        }
+        Arc::clone(self.pool.as_ref().expect("pool just created"))
+    }
+
+    /// Codes one VOP of `kind` from `cur` (and its shape) into `recon`,
+    /// inside one `VopCode()` counter window that also bounds the
+    /// `VopEncode` span. `pad` pads `recon`'s borders inside that window.
+    /// Keeps the reconstruction copy when asked and feeds the VOP's bits
+    /// to the stream cursor and the rate controller.
+    #[allow(clippy::too_many_arguments)]
+    fn code<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        kind: VopKind,
+        display_index: usize,
+        cur: &TracedFrame,
+        alpha: Option<(&TracedPlane, Bbox)>,
+        fwd: Option<&TracedFrame>,
+        bwd: Option<&TracedFrame>,
+        recon: &mut TracedFrame,
+        pad: bool,
+    ) -> EncodedVop {
+        let qp = self.rate.qp_for(kind);
         let header = VopHeader {
-            kind: VopKind::P,
-            display_index: idx as u32,
+            kind,
+            display_index: display_index as u32,
             qp,
-            bbox: None,
+            bbox: None, // filled inside encode_vop for shape layers
             resync_interval: self.config.resync_mb_interval,
             slices: self.config.slices,
         };
         let pool = self.pool_handle();
         let window_start = *mem.counters();
+        // The VopEncode span reuses the paper's `VopCode()` counter
+        // window: enter on the snapshot already taken for `vop_window`.
         let obs_on = m4ps_obs::enabled();
         if obs_on {
             m4ps_obs::enter(Phase::VopEncode, window_start);
@@ -1048,11 +746,11 @@ impl VideoObjectCoder {
         let (bytes, stats) = encode_vop(
             mem,
             header,
-            &self.cur,
-            self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
-            Some(ext),
-            None,
-            &mut self.b_recon,
+            cur,
+            alpha,
+            fwd,
+            bwd,
+            recon,
             &self.texture,
             &mut self.slice_scratch,
             &self.search,
@@ -1063,6 +761,9 @@ impl VideoObjectCoder {
             &pool,
             self.sched,
         );
+        if pad {
+            recon.pad_borders(mem);
+        }
         if obs_on {
             m4ps_obs::exit(Phase::VopEncode, *mem.counters());
         }
@@ -1070,20 +771,20 @@ impl VideoObjectCoder {
             .vop_window
             .merged_with(&mem.counters().delta_since(&window_start));
         let recon_copy = self.keep_recon.then(|| ReconPlanes {
-            y: self.b_recon.y.copy_out(mem),
-            u: self.b_recon.u.copy_out(mem),
-            v: self.b_recon.v.copy_out(mem),
+            y: recon.y.copy_out(mem),
+            u: recon.u.copy_out(mem),
+            v: recon.v.copy_out(mem),
         });
         self.stream_bits += stats.bits;
-        self.rate.update(VopKind::P, stats.bits);
-        Ok(EncodedVop {
-            kind: VopKind::P,
-            display_index: idx,
+        self.rate.update(kind, stats.bits);
+        EncodedVop {
+            kind,
+            display_index,
             qp,
             bytes,
             stats,
             recon: recon_copy,
-        })
+        }
     }
 }
 
@@ -1319,7 +1020,6 @@ pub(crate) fn encode_vop<M: ParallelModel>(
         mby_range.start,
         stream_base,
         sched,
-        None,
     );
     let slots = run_slice_chains(pool, &ctx, chains);
 
@@ -1383,13 +1083,8 @@ type SliceOut<M> = (Vec<u8>, VopStats, M);
 
 /// Builds the per-slice chain states for one VOP. Forks happen here,
 /// sequentially on the coordinator, so every slice starts from an
-/// identical memory-model snapshot regardless of scheduling.
-///
-/// `inline_io` carries the VOP's header writer and charge state into a
-/// *single-slice* chain (the pipelined B-drain's unsliced case, where
-/// macroblock bits chain directly off the header with no alignment);
-/// sliced VOPs pass `None` and each slice gets a fresh byte-aligned
-/// segment with its own charge window.
+/// identical memory-model snapshot regardless of scheduling. Each slice
+/// gets a fresh byte-aligned segment with its own charge window.
 #[allow(clippy::too_many_arguments)]
 fn build_slice_chains<'a, M: ParallelModel>(
     mem: &mut M,
@@ -1400,9 +1095,7 @@ fn build_slice_chains<'a, M: ParallelModel>(
     mby_start: usize,
     stream_base: u64,
     sched: Scheduling,
-    mut inline_io: Option<(BitWriter, StreamCharge)>,
 ) -> Vec<SliceChain<'a, M>> {
-    debug_assert!(inline_io.is_none() || slice_rows.len() == 1);
     let grain = sched.grain();
     slice_rows
         .iter()
@@ -1413,18 +1106,12 @@ fn build_slice_chains<'a, M: ParallelModel>(
         .map(|(s, ((rows, view), sc))| {
             let first_mb = (rows.start - mby_start) * ctx.mbx_range.len();
             let cap = rows.len() * ctx.mbx_range.len() * 32 + 64;
-            let (w, charge) = inline_io.take().unwrap_or_else(|| {
-                (
-                    BitWriter::with_capacity(cap),
-                    StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
-                )
-            });
             SliceChain {
                 smem: mem.fork(),
                 view,
                 scratch: sc,
-                w,
-                charge,
+                w: BitWriter::with_capacity(cap),
+                charge: StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
                 stats: VopStats::default(),
                 slice_index: s,
                 next_row: rows.start,

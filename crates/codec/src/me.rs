@@ -24,8 +24,8 @@ const SAD_ROW_OPS: u64 = 48;
 /// the slice scratch, so steady-state searches allocate nothing.
 ///
 /// Under a model that wants no batches ([`MemModel::wants_batches`],
-/// such as `NullModel`) nothing is recorded: each row is charged as it
-/// is replayed.
+/// such as `NullModel`, which discards every charge) nothing is
+/// recorded.
 #[derive(Debug, Default)]
 pub(crate) struct SearchCharges {
     batch: Vec<SearchCandidate>,
@@ -50,41 +50,29 @@ impl SearchCharges {
         lead_row: bool,
         row_ops: u64,
     ) {
-        let lead = isize::from(lead_row);
-        if !mem.wants_batches() {
-            for row in 0..rows as isize {
-                cur.touch_row_read(mem, bx, by + row, size);
-                if lead_row && row == 0 {
-                    reference.touch_row_read(mem, rx, ry, ref_width);
-                }
-                reference.touch_row_read(mem, rx, ry + row + lead, ref_width);
-                mem.add_ops(row_ops);
-            }
-            return;
-        }
         if rows == 0 {
             return;
         }
         assert_eq!(cur.stride(), reference.stride(), "planes differ in stride");
-        self.batch.push(SearchCandidate {
+        let candidate = SearchCandidate {
             cur: cur.rows_addr(bx, by, size, rows),
-            reference: reference.rows_addr(rx, ry, ref_width, rows + lead as usize),
+            reference: reference.rows_addr(rx, ry, ref_width, rows + usize::from(lead_row)),
             stride: cur.stride() as u64,
             cur_width: size as u32,
             ref_width: ref_width as u32,
             rows: rows as u32,
             lead_row,
-        });
-        self.ops += row_ops * rows as u64;
+        };
+        if mem.wants_batches() {
+            self.batch.push(candidate);
+            self.ops += row_ops * rows as u64;
+        }
     }
 
     /// Charges everything recorded so far. Called before every profiler
-    /// span boundary, so each phase is charged exactly what it was
-    /// charged row by row.
+    /// span boundary, so each phase is charged exactly what the per-span
+    /// expansion of its candidates charges it.
     fn flush<M: MemModel>(&mut self, mem: &mut M) {
-        if !mem.wants_batches() {
-            return;
-        }
         if !self.batch.is_empty() {
             mem.access_candidates(&self.batch);
             self.batch.clear();

@@ -122,18 +122,11 @@ impl TracedPlane {
         (self.buf.raw(), self.stride)
     }
 
-    /// Charges the traced read of `len` pixels of row `y` starting at
-    /// `x` without returning data — exactly the charge stream of
-    /// [`TracedPlane::load_row`].
-    pub(crate) fn touch_row_read<M: MemModel>(&self, mem: &mut M, x: isize, y: isize, len: usize) {
-        self.buf.touch_read(mem, self.index(x, y), len);
-    }
-
     /// Address of the first of `rows` non-empty rows of `len` pixels
     /// from `(x, y)` downward, for a caller that charges them later in a
     /// [`MemModel::access_candidates`] batch. Applies, once, the bounds
-    /// checks [`TracedPlane::touch_row_read`] makes on every row: each
-    /// row starts inside the padded surface and ends inside the buffer.
+    /// checks a traced read of each row would make: each row starts
+    /// inside the padded surface and ends inside the buffer.
     /// The rows share `x`, and their start indices grow with `y`, so
     /// checking the first and the last row covers every row between.
     ///

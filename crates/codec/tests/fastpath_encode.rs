@@ -195,9 +195,9 @@ fn every_search_shape_is_bit_identical_under_fast_and_naive_models() {
     }
 }
 
-/// A [`Hierarchy`] that asks to be charged access by access
-/// (`wants_batches() == false`), so motion search charges every SAD row
-/// as it replays it: the reference for batched charging.
+/// A [`Hierarchy`] that does not forward `access_candidates`, so every
+/// motion-search batch takes the trait default: one `access_range` per
+/// SAD row span, in search order. The reference for batched charging.
 struct RowByRow(Hierarchy);
 
 impl MemModel for RowByRow {
@@ -216,10 +216,6 @@ impl MemModel for RowByRow {
     ) {
         self.0
             .access_rect(addr, stride, rows, row_bytes, kind, ops_per_row);
-    }
-
-    fn wants_batches(&self) -> bool {
-        false
     }
 
     fn prefetch(&mut self, addr: u64) {

@@ -15,8 +15,7 @@ use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 const FRAMES: usize = 5;
 
 fn test_config(slices: usize, b_frames: usize) -> EncoderConfig {
-    // B-frames on so the parallel path covers I, P and B slices (and
-    // the fixed-QP pipelined B-drain when `b_frames > 0`).
+    // B-frames on so the parallel path covers I, P and B slices.
     EncoderConfig {
         gop: GopStructure {
             intra_period: 4,
@@ -181,9 +180,8 @@ fn random_scenes_encode_identically_for_any_schedule() {
     // the bitstream and merged counters of the sequential (threads =
     // 1, coarse slice jobs) encode at the SAME slice count and GOP.
     // Randomizing all of them covers uneven slice partitions,
-    // more-threads-than-slices schedules, the pipelined fixed-QP
-    // B-drain and the wavefront row chains the pinned tests above
-    // don't reach.
+    // more-threads-than-slices schedules, deeper fixed-QP B queues and
+    // the wavefront row chains the pinned tests above don't reach.
     prop::check(
         "parallel_encode_determinism",
         &Config::with_cases(5),
@@ -240,4 +238,107 @@ fn slices_beyond_rows_are_clamped_and_still_roundtrip() {
         n += 1;
     }
     assert_eq!(n, enc_recons.len());
+}
+
+/// FNV-1a, continued from `h` (start from the offset basis).
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a digests of the elementary stream and of every reconstructed
+/// Y, U and V plane (in coding order) for a fixed-QP IBBP encode of
+/// 9 frames of scene 9 on two threads under the O2 hierarchy.
+fn fixed_qp_b_digests(res: Resolution, slices: usize, b_frames: usize) -> [u64; 4] {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let scene = Scene::new(SceneSpec {
+        resolution: res,
+        objects: 0,
+        seed: 9,
+    });
+    let config = EncoderConfig {
+        gop: GopStructure {
+            intra_period: 8,
+            b_frames,
+        },
+        ..EncoderConfig::fast_test()
+    }
+    .with_slices(slices);
+    let (w, h) = (res.width, res.height);
+    let mut mem = Hierarchy::new(MachineSpec::o2());
+    let mut space = AddressSpace::new();
+    let mut coder = VideoObjectCoder::new(&mut space, w, h, config).unwrap();
+    coder.set_threads(2);
+    coder.set_keep_recon(true);
+    let mut d = [BASIS; 4];
+    d[0] = fnv1a(d[0], &coder.header_bytes());
+    let mut absorb = |vops: Vec<m4ps_codec::EncodedVop>| {
+        for vop in vops {
+            d[0] = fnv1a(d[0], &vop.bytes);
+            let r = vop.recon.expect("recon kept");
+            d[1] = fnv1a(d[1], &r.y);
+            d[2] = fnv1a(d[2], &r.u);
+            d[3] = fnv1a(d[3], &r.v);
+        }
+    };
+    for t in 0..9 {
+        let f = scene.frame(t);
+        let view = FrameView {
+            width: w,
+            height: h,
+            y: &f.y,
+            u: &f.u,
+            v: &f.v,
+        };
+        absorb(coder.encode_frame(&mut mem, &view, None).unwrap());
+    }
+    absorb(coder.flush(&mut mem).unwrap());
+    d
+}
+
+#[test]
+fn fixed_qp_b_vop_streams_match_pinned_digests() {
+    for (res, slices, b_frames, expect) in [
+        (
+            Resolution::QCIF,
+            1,
+            2,
+            [
+                0x2788_5769_a25f_5668_u64,
+                0xc41b_484f_0851_0708,
+                0xb561_8d62_8578_09d5,
+                0x757a_c440_7e82_f3ae,
+            ],
+        ),
+        (
+            Resolution::QCIF,
+            3,
+            2,
+            [
+                0x72a2_09c1_13d6_9659,
+                0xc41b_484f_0851_0708,
+                0xb561_8d62_8578_09d5,
+                0x757a_c440_7e82_f3ae,
+            ],
+        ),
+        (
+            Resolution::PAL,
+            4,
+            3,
+            [
+                0x3d85_e338_18a7_034d,
+                0x0ff8_cc77_2191_fc15,
+                0xa4e3_4a9e_ca0a_3e85,
+                0xe28b_4d6c_ffca_62de,
+            ],
+        ),
+    ] {
+        let got = fixed_qp_b_digests(res, slices, b_frames);
+        assert_eq!(
+            got, expect,
+            "{}x{} slices={slices} b={b_frames}: {got:#018x?}",
+            res.width, res.height
+        );
+    }
 }

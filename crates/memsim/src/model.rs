@@ -137,10 +137,10 @@ pub trait MemModel {
     }
 
     /// Whether callers should build charge batches (such as the
-    /// candidates for [`MemModel::access_candidates`]). When `false`
-    /// they charge each access as they go, which is the same charge
-    /// stream. [`NullModel`] discards every charge and returns `false`,
-    /// so the batch bookkeeping compiles away.
+    /// candidates for [`MemModel::access_candidates`]). `false` means the
+    /// model discards charges, so callers may skip recording them:
+    /// [`NullModel`] returns `false`, and the batch bookkeeping compiles
+    /// away. A model that counts anything must return `true`.
     fn wants_batches(&self) -> bool {
         true
     }

@@ -37,32 +37,72 @@ use std::process::ExitCode;
 
 const DEFAULT_MAX_REGRESS_PCT: f64 = 25.0;
 
-/// The benchmark series the encode scaling gate reads.
-const SCALING_SERIES: &str = "parallel/encode_frame/threads=";
+/// What a gate checks on its series of the fresh report.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The `{series}4` speedup over `{series}1` must reach the bound.
+    Scaling,
+    /// The `{series}on` median may exceed the `{series}off` median by at
+    /// most the bound, in percent.
+    Overhead,
+}
 
-/// The benchmark series the decode scaling gate reads.
-const DECODE_SCALING_SERIES: &str = "parallel/decode_frame/threads=";
+/// One gate on the fresh report. A gate whose series the report does
+/// not carry passes.
+struct Gate {
+    /// What the gate measures (overhead reports print it).
+    name: &'static str,
+    /// Benchmark-name prefix of the series.
+    series: &'static str,
+    /// Flag that overrides the bound (gates may share one).
+    flag: &'static str,
+    /// Default bound.
+    default: fn() -> f64,
+    check: Check,
+}
 
-/// The benchmark pair the profiler-overhead gate reads.
-const OBS_SERIES: &str = "parallel/encode_frame/obs=";
-
-/// The benchmark pair the flight-recorder-overhead gate reads.
-const REC_SERIES: &str = "parallel/encode_frame/rec=";
-
-/// Ceiling for the installed-profiler overhead (obs=on vs obs=off).
-/// The wavefront scheduler attaches the session and records a
-/// queue-wait sample per macroblock-row task (not per coarse slice
-/// job), so the instrumented encode legitimately pays a little more
-/// than the old 5% budget; 8% still catches an accidentally hot
-/// span while clearing single-digit task-grain costs.
-const DEFAULT_MAX_OBS_OVERHEAD_PCT: f64 = 8.0;
-
-/// Ceiling for the installed flight-recorder overhead (rec=on vs
-/// rec=off, profiler session held constant). Recording a coarse phase
-/// event is one timestamp plus a 40-byte ring append under a
-/// per-thread lock — single digits even on a starved runner; 8%
-/// catches an accidentally hot (per-macroblock) record site.
-const DEFAULT_MAX_REC_OVERHEAD_PCT: f64 = 8.0;
+/// Every gate, in report order. The first is the one `--scaling` needs.
+const GATES: [Gate; 4] = [
+    Gate {
+        name: "encode scaling",
+        series: "parallel/encode_frame/threads=",
+        flag: "--min-scaling",
+        default: default_min_scaling,
+        check: Check::Scaling,
+    },
+    // Same machine-aware floor as encode: the decode slice jobs run on
+    // the same persistent pool.
+    Gate {
+        name: "decode scaling",
+        series: "parallel/decode_frame/threads=",
+        flag: "--min-scaling",
+        default: default_min_scaling,
+        check: Check::Scaling,
+    },
+    // The wavefront scheduler attaches the session and records a
+    // queue-wait sample per macroblock-row task (not per coarse slice
+    // job), so the instrumented encode legitimately pays a little more
+    // than the old 5% budget; 8% still catches an accidentally hot
+    // span while clearing single-digit task-grain costs.
+    Gate {
+        name: "profiler",
+        series: "parallel/encode_frame/obs=",
+        flag: "--max-obs-overhead",
+        default: || 8.0,
+        check: Check::Overhead,
+    },
+    // Recording a coarse phase event is one timestamp plus a 40-byte
+    // ring append under a per-thread lock — single digits even on a
+    // starved runner; 8% catches an accidentally hot (per-macroblock)
+    // record site. The profiler session is held constant.
+    Gate {
+        name: "flight recorder",
+        series: "parallel/encode_frame/rec=",
+        flag: "--max-rec-overhead",
+        default: || 8.0,
+        check: Check::Overhead,
+    },
+];
 
 /// `(name, median_ns)` rows plus the report's `meta.kernel_tier` tag
 /// (reports from before the tag carry `None`).
@@ -113,108 +153,67 @@ fn default_min_scaling() -> f64 {
     }
 }
 
-/// Prints the thread-scaling speedup table of `series` from `medians`
-/// and gates the threads=4 point. Returns `Ok(None)` when the series is
-/// absent (the file simply doesn't carry the parallel benches),
-/// `Ok(Some(pass))` otherwise.
-fn check_series_scaling(
-    medians: &[(String, f64)],
-    series: &str,
-    min_scaling: f64,
-) -> Result<Option<bool>, String> {
-    let median_at = |threads: u32| {
-        let name = format!("{series}{threads}");
-        medians
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, m)| m)
-            .filter(|&m| m > 0.0)
-    };
-    let Some(base) = median_at(1) else {
-        return Ok(None);
-    };
-    println!(
-        "thread scaling ({series}N, speedup over threads=1, floor {min_scaling:.2}x at threads=4)"
-    );
-    println!("  threads=1: {base:.0} ns  1.00x");
-    let mut gated = None;
-    for threads in [2u32, 4] {
-        let Some(m) = median_at(threads) else {
-            return Err(format!("{series}{threads} missing from fresh results"));
+impl Gate {
+    /// Prints the gate's report and checks it against `bound`. Returns
+    /// `Ok(None)` when the series is absent (the file simply doesn't
+    /// carry those benches), `Ok(Some(pass))` otherwise.
+    fn run(&self, medians: &[(String, f64)], bound: f64) -> Result<Option<bool>, String> {
+        let series = self.series;
+        let median_of = |label: &str| {
+            let name = format!("{series}{label}");
+            medians
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|&(_, m)| m)
+                .filter(|&m| m > 0.0)
         };
-        let speedup = base / m;
-        println!("  threads={threads}: {m:.0} ns  {speedup:.2}x");
-        if threads == 4 {
-            gated = Some(speedup);
+        let missing = |label: &str| format!("{series}{label} missing from fresh results");
+        match self.check {
+            Check::Scaling => {
+                let Some(base) = median_of("1") else {
+                    return Ok(None);
+                };
+                println!(
+                    "thread scaling ({series}N, speedup over threads=1, floor {bound:.2}x at threads=4)"
+                );
+                println!("  threads=1: {base:.0} ns  1.00x");
+                let mut speedup = 0.0;
+                for threads in ["2", "4"] {
+                    let m = median_of(threads).ok_or_else(|| missing(threads))?;
+                    speedup = base / m;
+                    println!("  threads={threads}: {m:.0} ns  {speedup:.2}x");
+                }
+                if speedup < bound {
+                    println!(
+                        "SCALING REGRESSED: threads=4 speedup {speedup:.2}x below the {bound:.2}x floor"
+                    );
+                    Ok(Some(false))
+                } else {
+                    println!("scaling ok: threads=4 speedup {speedup:.2}x >= {bound:.2}x");
+                    Ok(Some(true))
+                }
+            }
+            Check::Overhead => {
+                let what = self.name;
+                let Some(off) = median_of("off") else {
+                    return Ok(None);
+                };
+                let on = median_of("on").ok_or_else(|| missing("on"))?;
+                let overhead_pct = (on / off - 1.0) * 100.0;
+                println!(
+                    "{what} overhead ({series}on vs off): {off:.0} -> {on:.0} ns ({overhead_pct:+.1}%, ceiling +{bound}%)"
+                );
+                if overhead_pct > bound {
+                    println!(
+                        "OVERHEAD REGRESSED: installed {what} costs {overhead_pct:+.1}% (> +{bound}%)"
+                    );
+                    Ok(Some(false))
+                } else {
+                    Ok(Some(true))
+                }
+            }
         }
     }
-    let speedup4 = gated.expect("loop covers threads=4");
-    if speedup4 < min_scaling {
-        println!(
-            "SCALING REGRESSED: threads=4 speedup {speedup4:.2}x below the {min_scaling:.2}x floor"
-        );
-        Ok(Some(false))
-    } else {
-        println!("scaling ok: threads=4 speedup {speedup4:.2}x >= {min_scaling:.2}x");
-        Ok(Some(true))
-    }
-}
-
-/// Gates the encode thread-scaling series.
-fn check_scaling(medians: &[(String, f64)], min_scaling: f64) -> Result<Option<bool>, String> {
-    check_series_scaling(medians, SCALING_SERIES, min_scaling)
-}
-
-/// Gates the decode thread-scaling series (same machine-aware floor as
-/// encode: the slice jobs run on the same persistent pool).
-fn check_decode_scaling(
-    medians: &[(String, f64)],
-    min_scaling: f64,
-) -> Result<Option<bool>, String> {
-    check_series_scaling(medians, DECODE_SCALING_SERIES, min_scaling)
-}
-
-/// Gates an on-vs-off overhead pair: the `{series}on` median may exceed
-/// the `{series}off` median by at most `max_pct` percent. Returns
-/// `Ok(None)` when the pair is absent.
-fn check_onoff_overhead(
-    medians: &[(String, f64)],
-    series: &str,
-    what: &str,
-    max_pct: f64,
-) -> Result<Option<bool>, String> {
-    let median_of = |label: &str| {
-        let name = format!("{series}{label}");
-        medians
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, m)| m)
-            .filter(|&m| m > 0.0)
-    };
-    let Some(off) = median_of("off") else {
-        return Ok(None);
-    };
-    let on = median_of("on").ok_or(format!("{series}on missing from fresh results"))?;
-    let overhead_pct = (on / off - 1.0) * 100.0;
-    println!(
-        "{what} overhead ({series}on vs off): {off:.0} -> {on:.0} ns ({overhead_pct:+.1}%, ceiling +{max_pct}%)"
-    );
-    if overhead_pct > max_pct {
-        println!("OVERHEAD REGRESSED: installed {what} costs {overhead_pct:+.1}% (> +{max_pct}%)");
-        Ok(Some(false))
-    } else {
-        Ok(Some(true))
-    }
-}
-
-/// Gates the span-profiler overhead (obs=on vs obs=off).
-fn check_obs_overhead(medians: &[(String, f64)], max_pct: f64) -> Result<Option<bool>, String> {
-    check_onoff_overhead(medians, OBS_SERIES, "profiler", max_pct)
-}
-
-/// Gates the flight-recorder overhead (rec=on vs rec=off).
-fn check_rec_overhead(medians: &[(String, f64)], max_pct: f64) -> Result<Option<bool>, String> {
-    check_onoff_overhead(medians, REC_SERIES, "flight recorder", max_pct)
 }
 
 /// Prints the top-3 stall-cycle phases from a phases JSONL file (one
@@ -255,114 +254,17 @@ fn print_top_stall_phases(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<bool, String> {
-    let mut args = std::env::args().skip(1);
-    let first = args.next().ok_or(
-        "usage: bench_compare <baseline.json> <fresh.json> [--max-regress <pct>] [--min-scaling <x>]\n       bench_compare --scaling <fresh.json> [--min-scaling <x>]",
-    )?;
-    let mut max_regress_pct = DEFAULT_MAX_REGRESS_PCT;
-    let mut min_scaling = default_min_scaling();
-    let mut max_obs_overhead_pct = DEFAULT_MAX_OBS_OVERHEAD_PCT;
-    let mut max_rec_overhead_pct = DEFAULT_MAX_REC_OVERHEAD_PCT;
-    let mut phases_path: Option<String> = None;
-    let scaling_only = first == "--scaling";
-    let (baseline_path, fresh_path) = if scaling_only {
-        (None, args.next().ok_or("--scaling needs a <fresh.json>")?)
-    } else {
-        (
-            Some(first),
-            args.next().ok_or("missing <fresh.json> argument")?,
-        )
-    };
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--max-regress" => {
-                max_regress_pct = args
-                    .next()
-                    .ok_or("--max-regress needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-regress: {e}"))?;
-            }
-            "--min-scaling" => {
-                min_scaling = args
-                    .next()
-                    .ok_or("--min-scaling needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--min-scaling: {e}"))?;
-            }
-            "--max-obs-overhead" => {
-                max_obs_overhead_pct = args
-                    .next()
-                    .ok_or("--max-obs-overhead needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-obs-overhead: {e}"))?;
-            }
-            "--max-rec-overhead" => {
-                max_rec_overhead_pct = args
-                    .next()
-                    .ok_or("--max-rec-overhead needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-rec-overhead: {e}"))?;
-            }
-            "--phases" => {
-                phases_path = Some(args.next().ok_or("--phases needs a <file>")?);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-
-    let (fresh, fresh_tier) = load_medians(&fresh_path)?;
-    if scaling_only {
-        let pass = match check_scaling(&fresh, min_scaling)? {
-            Some(pass) => pass,
-            None => {
-                return Err(format!(
-                    "{fresh_path}: no {SCALING_SERIES}N entries to gate"
-                ))
-            }
-        };
-        let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-        let obs_ok = check_obs_overhead(&fresh, max_obs_overhead_pct)?.unwrap_or(true);
-        let rec_ok = check_rec_overhead(&fresh, max_rec_overhead_pct)?.unwrap_or(true);
-        if let Some(phases) = &phases_path {
-            print_top_stall_phases(phases)?;
-        }
-        return Ok(pass && decode_ok && obs_ok && rec_ok);
-    }
-    let baseline_path = baseline_path.expect("set in non-scaling mode");
-    let (baseline, base_tier) = load_medians(&baseline_path)?;
+/// Diffs every benchmark `fresh` shares with `baseline` and reports
+/// whether all stayed within `max_regress_pct`.
+fn compare(
+    baseline: &[(String, f64)],
+    fresh: &[(String, f64)],
+    max_regress_pct: f64,
+) -> Result<bool, String> {
     let limit = 1.0 + max_regress_pct / 100.0;
-
-    // Medians from different dispatch tiers (or machines whose best
-    // tier differs) measure different code: comparing them would gate
-    // noise against noise. Warn loudly and skip the per-bench diff, but
-    // still run the self-contained checks (scaling, obs overhead) on
-    // the fresh file. Reports without the tag predate it and pass.
-    if let (Some(b), Some(f)) = (&base_tier, &fresh_tier) {
-        if b != f {
-            println!(
-                "WARNING: kernel-tier mismatch: baseline ran {b}, fresh ran {f}; \
-                 skipping the per-benchmark comparison (re-baseline on this \
-                 machine or force M4PS_KERNELS={b})"
-            );
-            let scaling_ok = check_scaling(&fresh, min_scaling)?.unwrap_or(true);
-            let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-            let obs_ok = check_obs_overhead(&fresh, max_obs_overhead_pct)?.unwrap_or(true);
-            let rec_ok = check_rec_overhead(&fresh, max_rec_overhead_pct)?.unwrap_or(true);
-            if let Some(phases) = &phases_path {
-                print_top_stall_phases(phases)?;
-            }
-            return Ok(scaling_ok && decode_ok && obs_ok && rec_ok);
-        }
-    }
-
-    println!("comparing {fresh_path} against {baseline_path} (fail above +{max_regress_pct}%)");
-    if let Some(t) = &fresh_tier {
-        println!("  kernel tier: {t} (both reports)");
-    }
     let mut regressions = 0usize;
     let mut compared = 0usize;
-    for (name, fresh_median) in &fresh {
+    for (name, fresh_median) in fresh {
         let Some((_, base_median)) = baseline.iter().find(|(n, _)| n == name) else {
             println!("  new       {name}: {fresh_median:.0} ns (no baseline, not gated)");
             continue;
@@ -384,7 +286,7 @@ fn run() -> Result<bool, String> {
             );
         }
     }
-    for (name, _) in &baseline {
+    for (name, _) in baseline {
         if !fresh.iter().any(|(n, _)| n == name) {
             println!("  retired   {name}: present in baseline only");
         }
@@ -397,23 +299,105 @@ fn run() -> Result<bool, String> {
     } else {
         println!("all {compared} shared benchmarks within budget");
     }
-    // Gate thread scaling from the fresh run too (when present): a
-    // per-bench regression check alone can miss a broken parallel path
-    // whose threads=1 and threads=4 medians both drift within budget.
-    let scaling_ok = check_scaling(&fresh, min_scaling)?.unwrap_or(true);
-    // The decode mirror: same floor, same reasoning.
-    let decode_ok = check_decode_scaling(&fresh, min_scaling)?.unwrap_or(true);
-    // Likewise for the profiler-overhead pair: instrumentation that gets
-    // more expensive is a regression even if both medians drift within
-    // the per-bench budget.
-    let obs_ok = check_obs_overhead(&fresh, max_obs_overhead_pct)?.unwrap_or(true);
-    // And the recorder pair: an always-on ring append that turns hot is
-    // a service regression even when the codec medians stay flat.
-    let rec_ok = check_rec_overhead(&fresh, max_rec_overhead_pct)?.unwrap_or(true);
+    Ok(regressions == 0)
+}
+
+fn run() -> Result<bool, String> {
+    let mut args = std::env::args().skip(1);
+    let first = args.next().ok_or(
+        "usage: bench_compare <baseline.json> <fresh.json> [--max-regress <pct>] [--min-scaling <x>]\n       bench_compare --scaling <fresh.json> [--min-scaling <x>]",
+    )?;
+    // Every bound flag with its default: the regression budget, then
+    // one entry per distinct gate flag.
+    let mut bounds: Vec<(&str, f64)> = vec![("--max-regress", DEFAULT_MAX_REGRESS_PCT)];
+    for gate in &GATES {
+        if !bounds.iter().any(|&(f, _)| f == gate.flag) {
+            bounds.push((gate.flag, (gate.default)()));
+        }
+    }
+    let mut phases_path: Option<String> = None;
+    let scaling_only = first == "--scaling";
+    let (baseline_path, fresh_path) = if scaling_only {
+        (None, args.next().ok_or("--scaling needs a <fresh.json>")?)
+    } else {
+        (
+            Some(first),
+            args.next().ok_or("missing <fresh.json> argument")?,
+        )
+    };
+    while let Some(flag) = args.next() {
+        if flag == "--phases" {
+            phases_path = Some(args.next().ok_or("--phases needs a <file>")?);
+            continue;
+        }
+        let Some(slot) = bounds.iter_mut().find(|(f, _)| *f == flag) else {
+            return Err(format!("unknown argument {flag:?}"));
+        };
+        slot.1 = args
+            .next()
+            .ok_or(format!("{flag} needs a value"))?
+            .parse()
+            .map_err(|e| format!("{flag}: {e}"))?;
+    }
+    let bound = |flag: &str| {
+        bounds
+            .iter()
+            .find(|&&(f, _)| f == flag)
+            .map(|&(_, b)| b)
+            .expect("every gate flag has a bound")
+    };
+
+    let (fresh, fresh_tier) = load_medians(&fresh_path)?;
+    let regress_ok = match &baseline_path {
+        None => true,
+        Some(baseline_path) => {
+            let (baseline, base_tier) = load_medians(baseline_path)?;
+            let max_regress_pct = bound("--max-regress");
+            match (&base_tier, &fresh_tier) {
+                // Medians from different dispatch tiers (or machines
+                // whose best tier differs) measure different code:
+                // comparing them would gate noise against noise. Warn
+                // loudly and skip the per-bench diff, but still run the
+                // gates on the fresh file. Reports without the tag
+                // predate it and pass.
+                (Some(b), Some(f)) if b != f => {
+                    println!(
+                        "WARNING: kernel-tier mismatch: baseline ran {b}, fresh ran {f}; \
+                         skipping the per-benchmark comparison (re-baseline on this \
+                         machine or force M4PS_KERNELS={b})"
+                    );
+                    true
+                }
+                _ => {
+                    println!(
+                        "comparing {fresh_path} against {baseline_path} (fail above +{max_regress_pct}%)"
+                    );
+                    if let Some(t) = &fresh_tier {
+                        println!("  kernel tier: {t} (both reports)");
+                    }
+                    compare(&baseline, &fresh, max_regress_pct)?
+                }
+            }
+        }
+    };
+    // The gates run on the fresh file in every mode: a per-bench
+    // regression check alone can miss a broken parallel path, or
+    // instrumentation that got more expensive, whose medians all drift
+    // within budget.
+    let mut gates_ok = true;
+    for (i, gate) in GATES.iter().enumerate() {
+        match gate.run(&fresh, bound(gate.flag))? {
+            Some(pass) => gates_ok &= pass,
+            None if i == 0 && scaling_only => {
+                return Err(format!("{fresh_path}: no {}N entries to gate", gate.series))
+            }
+            None => {}
+        }
+    }
     if let Some(phases) = &phases_path {
         print_top_stall_phases(phases)?;
     }
-    Ok(regressions == 0 && scaling_ok && decode_ok && obs_ok && rec_ok)
+    Ok(regress_ok && gates_ok)
 }
 
 fn main() -> ExitCode {

@@ -57,13 +57,15 @@ if [[ "$run_tiers" == "1" ]]; then
 fi
 
 # The charging fast path must stay counter-bit-identical to the naive
-# reference model, and memoized scene synthesis byte-identical to the
-# per-pixel reference; run the differential suites explicitly so a gate
-# failure names them even when someone filters the workspace run.
-echo "== charging fast-path and synthesis differential (offline) =="
+# reference model, memoized scene synthesis byte-identical to the
+# per-pixel reference, and the study's simulated memory layout where it
+# was pinned; run the differential suites explicitly so a gate failure
+# names them even when someone filters the workspace run.
+echo "== charging fast-path, synthesis and layout differential (offline) =="
 cargo test -q --offline -p m4ps-memsim --test fastpath_equiv
 cargo test -q --offline -p m4ps-codec --test fastpath_encode
 cargo test -q --offline -p m4ps-vidgen
+cargo test -q --offline -p m4ps-core --test layout_digest
 
 # The repository benchmark is its own package (not a workspace member)
 # and implements MemModel itself (perfbench/src/counting.rs), so a trait
