@@ -2,11 +2,12 @@
 //! observability stack end to end and validates its outputs.
 //!
 //! ```text
-//! trace_smoke [<trace.json> [<phases.jsonl>]]
+//! trace_smoke [<dump.jsonl> [<phases.jsonl>]]
 //! ```
 //!
-//! Runs a 2-slice/2-thread QCIF encode with Chrome-trace export on,
-//! then:
+//! Runs a 2-slice/2-thread QCIF encode with the flight recorder on
+//! (`StudyConfig::with_dump`), which writes the event dump and, next to
+//! it, its Chrome trace (`<dump stem>.trace.json`), then:
 //!
 //! 1. checks the per-phase profile partitions the aggregate counters
 //!    bit-for-bit,
@@ -15,22 +16,24 @@
 //! 3. writes a per-phase JSONL (one object per active phase, with
 //!    modelled stall cycles) that `bench_compare --phases` consumes.
 //!
-//! Defaults: `TRACE_smoke.json` and `PHASES_smoke.jsonl` in the current
-//! directory. Exit 0 on success, 1 on a failed check, 2 on I/O errors.
+//! Defaults: `TRACE_smoke.jsonl` (so `TRACE_smoke.trace.json`) and
+//! `PHASES_smoke.jsonl` in the current directory. Exit 0 on success, 1
+//! on a failed check, 2 on I/O errors.
 
 use m4ps_core::memsim::MachineSpec;
 use m4ps_core::vidgen::Resolution;
 use m4ps_core::{encode_study, StudyConfig, Workload};
+use m4ps_obs::Dump;
 use m4ps_testkit::json::Json;
 use std::process::ExitCode;
 
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
-    let trace_path = args.next().unwrap_or_else(|| "TRACE_smoke.json".into());
+    let dump_path = args.next().unwrap_or_else(|| "TRACE_smoke.jsonl".into());
     let phases_path = args.next().unwrap_or_else(|| "PHASES_smoke.jsonl".into());
     if let Some(extra) = args.next() {
         return Err(format!(
-            "unexpected argument {extra:?}\nusage: trace_smoke [<trace.json> [<phases.jsonl>]]"
+            "unexpected argument {extra:?}\nusage: trace_smoke [<dump.jsonl> [<phases.jsonl>]]"
         ));
     }
 
@@ -44,8 +47,9 @@ fn run() -> Result<(), String> {
     };
     let cfg = StudyConfig::fast()
         .with_parallel(2, 2)
-        .with_trace(&trace_path);
+        .with_dump(&dump_path);
     let run = encode_study(&machine, &workload, &cfg).map_err(|e| format!("encode: {e:?}"))?;
+    let trace_path = Dump::trace_path(&dump_path);
 
     // 1. The profile must partition the run exactly.
     if run.profile.total() != run.metrics.counters {

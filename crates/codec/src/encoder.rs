@@ -465,26 +465,16 @@ impl VideoObjectCoder {
     /// # Errors
     ///
     /// Returns [`CodecError::DimensionMismatch`] for wrong plane sizes
-    /// and [`CodecError::InvalidConfig`] when a shape layer is not given
-    /// an alpha mask (or vice versa).
+    /// or a frame whose size is not the VOL's, and
+    /// [`CodecError::InvalidConfig`] when a shape layer is not given an
+    /// alpha mask (or vice versa) or the mask is not `width × height`.
     pub fn encode_frame<M: ParallelModel>(
         &mut self,
         mem: &mut M,
         frame: &FrameView<'_>,
         alpha: Option<&[u8]>,
     ) -> Result<Vec<EncodedVop>, CodecError> {
-        frame.validate()?;
-        if (frame.width, frame.height) != (self.vol.width, self.vol.height) {
-            return Err(CodecError::DimensionMismatch {
-                expected: (self.vol.width, self.vol.height),
-                found: (frame.width, frame.height),
-            });
-        }
-        if self.vol.binary_shape != alpha.is_some() {
-            return Err(CodecError::InvalidConfig(
-                "alpha mask must be supplied exactly for binary-shape layers",
-            ));
-        }
+        self.check_input(frame, alpha)?;
         let idx = self.next_display;
         self.next_display += 1;
         let kind = self.kind_for(idx);
@@ -531,6 +521,30 @@ impl VideoObjectCoder {
         out.push(self.encode_anchor(mem, kind, idx, None));
         out.extend(self.drain_b_queue(mem));
         Ok(out)
+    }
+
+    /// Checks a submitted frame, and a shape layer's mask, against the
+    /// VOL before any of it is loaded.
+    fn check_input(&self, frame: &FrameView<'_>, alpha: Option<&[u8]>) -> Result<(), CodecError> {
+        frame.validate()?;
+        let (width, height) = (self.vol.width, self.vol.height);
+        if (frame.width, frame.height) != (width, height) {
+            return Err(CodecError::DimensionMismatch {
+                expected: (width, height),
+                found: (frame.width, frame.height),
+            });
+        }
+        if self.vol.binary_shape != alpha.is_some() {
+            return Err(CodecError::InvalidConfig(
+                "alpha mask must be supplied exactly for binary-shape layers",
+            ));
+        }
+        if alpha.is_some_and(|mask| mask.len() != width * height) {
+            return Err(CodecError::InvalidConfig(
+                "alpha mask must hold width × height bytes",
+            ));
+        }
+        Ok(())
     }
 
     /// Loads `frame`, and a shape layer's mask, into `self.cur`.
@@ -670,12 +684,7 @@ impl VideoObjectCoder {
         alpha: Option<&[u8]>,
         ext: &TracedFrame,
     ) -> Result<EncodedVop, CodecError> {
-        frame.validate()?;
-        if self.vol.binary_shape != alpha.is_some() {
-            return Err(CodecError::InvalidConfig(
-                "alpha mask must be supplied exactly for binary-shape layers",
-            ));
-        }
+        self.check_input(frame, alpha)?;
         let idx = self.next_display;
         self.next_display += 1;
         let idx = self.display_offset + self.display_scale * idx;

@@ -213,7 +213,9 @@ impl SceneEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] on geometry or configuration mismatch.
+    /// Returns [`CodecError`] on geometry or configuration mismatch: a
+    /// frame that is not the scene's size, a wrong mask count, or a mask
+    /// that is not `width × height` bytes.
     pub fn encode_frame<M: ParallelModel>(
         &mut self,
         mem: &mut M,
@@ -221,8 +223,19 @@ impl SceneEncoder {
         masks: &[&[u8]],
     ) -> Result<(), CodecError> {
         frame.validate()?;
+        if (frame.width, frame.height) != (self.width, self.height) {
+            return Err(CodecError::DimensionMismatch {
+                expected: (self.width, self.height),
+                found: (frame.width, frame.height),
+            });
+        }
         if masks.len() != self.objects {
             return Err(CodecError::InvalidConfig("one mask per object is required"));
+        }
+        if masks.iter().any(|m| m.len() != self.width * self.height) {
+            return Err(CodecError::InvalidConfig(
+                "alpha mask must hold width × height bytes",
+            ));
         }
         let t = self.frame_idx;
         self.frame_idx += 1;

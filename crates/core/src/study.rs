@@ -11,15 +11,11 @@ use m4ps_memsim::{
 use m4ps_obs::{Phase, PhaseProfile, Profiler};
 use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
-/// Environment override for Chrome-trace export: when set, every study
-/// run writes its trace-event JSON to this path (a
-/// [`StudyConfig::with_trace`] path takes precedence for encodes).
-pub const TRACE_ENV: &str = "M4PS_TRACE";
-
 /// Environment override for flight-recorder export: when set, every
 /// study run installs a [`m4ps_obs::Recorder`] and writes its event
 /// dump (JSONL + Chrome trace) to this path at the end (a
-/// [`StudyConfig::with_dump`] path takes precedence for encodes).
+/// [`StudyConfig::with_dump`] path takes precedence). This is the
+/// study's only trace output.
 pub const DUMP_ENV: &str = "M4PS_OBS_DUMP";
 
 /// A workload specification in the paper's terms.
@@ -84,16 +80,12 @@ pub struct StudyConfig {
     /// bitstream and the paper-band metrics are identical for every
     /// value (only [`EncoderConfig::slices`] changes the stream).
     pub threads: usize,
-    /// When set, [`encode_study`] writes a Chrome trace-event JSON file
-    /// here (load it in `chrome://tracing` or Perfetto). `None` falls
-    /// back to the [`TRACE_ENV`] environment variable. A pure
-    /// observability knob — output and metrics are unchanged.
-    pub trace: Option<String>,
     /// When set, the study installs a flight recorder on its profiler
     /// and pool and writes the event dump (JSONL, plus a Chrome trace
-    /// next to it) here at the end. `None` falls back to the
-    /// [`DUMP_ENV`] environment variable. A pure observability knob —
-    /// output and metrics are unchanged. Analyze with `m4ps-obs`.
+    /// next to it — load it in `chrome://tracing` or Perfetto) here at
+    /// the end. `None` falls back to the [`DUMP_ENV`] environment
+    /// variable. A pure observability knob — output and metrics are
+    /// unchanged. Analyze with `m4ps-obs`.
     pub dump: Option<String>,
     /// When set, the study encodes on this shared pool instead of
     /// spawning its own (overrides `threads`). This is how concurrent
@@ -107,7 +99,6 @@ impl PartialEq for StudyConfig {
     fn eq(&self, other: &Self) -> bool {
         self.encoder == other.encoder
             && self.threads == other.threads
-            && self.trace == other.trace
             && self.dump == other.dump
             // Pools have identity, not value, semantics.
             && match (&self.pool, &other.pool) {
@@ -125,7 +116,6 @@ impl StudyConfig {
         StudyConfig {
             encoder: EncoderConfig::paper(),
             threads: 0,
-            trace: None,
             dump: None,
             pool: None,
         }
@@ -136,7 +126,6 @@ impl StudyConfig {
         StudyConfig {
             encoder: EncoderConfig::fast_test(),
             threads: 0,
-            trace: None,
             dump: None,
             pool: None,
         }
@@ -154,13 +143,6 @@ impl StudyConfig {
     pub fn with_parallel(mut self, slices: usize, threads: usize) -> Self {
         self.encoder.slices = slices;
         self.threads = threads;
-        self
-    }
-
-    /// Writes a Chrome trace-event JSON file for the run (see
-    /// [`StudyConfig::trace`]).
-    pub fn with_trace(mut self, path: impl Into<String>) -> Self {
-        self.trace = Some(path.into());
         self
     }
 
@@ -285,9 +267,8 @@ pub fn encode_study(
     } else {
         Hierarchy::without_prefetch(machine.clone())
     };
-    let trace = trace_path(config.trace.as_deref());
     let dump = dump_path(config.dump.as_deref());
-    let profiler = Profiler::new(trace.is_some());
+    let profiler = Profiler::new(false);
     let recorder = dump.as_ref().map(|_| m4ps_obs::Recorder::new(0));
     if let Some(rec) = &recorder {
         profiler.set_recorder(rec);
@@ -308,7 +289,6 @@ pub fn encode_study(
     m4ps_obs::exit(Phase::Run, *mem.counters());
     drop(guard);
     let (_, session, vop_window) = result?;
-    write_trace_if_requested(&profiler, trace.as_deref());
     write_dump_if_requested(recorder.as_ref(), dump.as_deref());
     let metrics = MemoryMetrics::derive(mem.counters(), machine);
     Ok(RunResult {
@@ -323,30 +303,15 @@ pub fn encode_study(
 }
 
 /// Records the resolved SIMD kernel tier on the session: a
-/// `kernel_tier` gauge (numeric tier id) and a `kernels=<tier>` process
-/// label on the trace, so exported artifacts say which dispatch table
-/// produced them. Call with the session attached (the gauge records
-/// through the thread-local session).
+/// `kernel_tier` gauge (numeric tier id) and, when a recorder is
+/// installed, a `kernels=<tier>` recorder label, so exported dumps and
+/// traces say which dispatch table produced them. Call with the session
+/// attached (the gauge records through the thread-local session).
 fn record_kernel_tier(profiler: &Profiler) {
     let tier = m4ps_dsp::active_tier();
     m4ps_obs::gauge_set(m4ps_obs::MetricId::KernelTier, tier as u64);
-    profiler.set_process_label(&format!("kernels={}", tier.name()));
-}
-
-/// Resolves the effective trace path: explicit config, then the
-/// [`TRACE_ENV`] environment override.
-fn trace_path(explicit: Option<&str>) -> Option<String> {
-    explicit
-        .map(str::to_owned)
-        .or_else(|| std::env::var(TRACE_ENV).ok().filter(|p| !p.is_empty()))
-}
-
-/// Best-effort trace export; a failed write must not fail the study.
-fn write_trace_if_requested(profiler: &Profiler, path: Option<&str>) {
-    if let Some(path) = path {
-        if let Err(e) = profiler.write_trace(path) {
-            eprintln!("m4ps: could not write trace to {path}: {e}");
-        }
+    if let Some(rec) = profiler.recorder() {
+        rec.set_label(&format!("kernels={}", tier.name()));
     }
 }
 
@@ -435,9 +400,8 @@ pub fn decode_study_with(
 ) -> Result<RunResult, CodecError> {
     let mut space = AddressSpace::new();
     let mut mem = Hierarchy::new(machine.clone());
-    let trace = trace_path(config.trace.as_deref());
     let dump = dump_path(config.dump.as_deref());
-    let profiler = Profiler::new(trace.is_some());
+    let profiler = Profiler::new(false);
     let recorder = dump.as_ref().map(|_| m4ps_obs::Recorder::new(0));
     if let Some(rec) = &recorder {
         profiler.set_recorder(rec);
@@ -471,7 +435,6 @@ pub fn decode_study_with(
     m4ps_obs::exit(Phase::Run, *mem.counters());
     drop(guard);
     let dec = result?;
-    write_trace_if_requested(&profiler, trace.as_deref());
     write_dump_if_requested(recorder.as_ref(), dump.as_deref());
     let metrics = MemoryMetrics::derive(mem.counters(), machine);
     Ok(RunResult {

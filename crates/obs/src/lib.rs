@@ -5,8 +5,8 @@
 //! al. show that motion estimation and DCT blocking — not streaming —
 //! dominate MPEG-4 memory behaviour. This crate reproduces that layer
 //! for the simulated hierarchy: phase-attributed [`Counters`] profiles,
-//! a small metrics registry, and Chrome trace-event export, all with
-//! zero registry dependencies.
+//! a small metrics registry, and a flight recorder whose dumps export
+//! as Chrome trace events, all with zero registry dependencies.
 //!
 //! # Span model
 //!
@@ -49,7 +49,7 @@
 //!
 //! Each thread that participates calls [`Profiler::attach`] and keeps
 //! the guard alive; dropping it merges the thread's [`PhaseProfile`]
-//! and trace events into the session. Attach is reentrant on the same
+//! into the session. Attach is reentrant on the same
 //! session (a 1-worker pool runs slice jobs inline on an
 //! already-attached caller) and a no-op for a different session.
 
@@ -59,7 +59,10 @@
 //! per-thread ring of compact service events (frame lifecycle, WFQ
 //! picks, admission decisions, pool steal/park/wake, coarse phases)
 //! that [`Recorder::snapshot`] turns into a [`Dump`] — JSONL plus a
-//! Chrome trace with one lane per session and per worker. The
+//! Chrome trace with one lane per session and per worker. It is the
+//! only timeline: a profiler session with a recorder installed
+//! ([`Profiler::set_recorder`]) records its coarse phases there, and
+//! [`Dump::to_chrome_trace`] is the one Chrome-trace export. The
 //! `m4ps-obs` binary analyzes dumps offline; see `recorder.rs` and
 //! DESIGN.md §15.
 
@@ -81,7 +84,6 @@ pub use recorder::{
     outcome, Dump, DumpEvent, Event, EventKind, Recorder, RingInfo, DEFAULT_RING_CAPACITY,
     NO_SESSION,
 };
-pub use trace::TraceEvent;
 
 /// Re-export: spans snapshot this type; consumers that only depend on
 /// `m4ps-obs` (the pool) can still name it.

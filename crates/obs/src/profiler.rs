@@ -1,7 +1,7 @@
 //! The profiler session, thread attachment, and the span primitives.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -9,9 +9,7 @@ use crate::metrics::{HistogramSnapshot, MetricId, Registry};
 use crate::phase::Phase;
 use crate::profile::{add_wrapping, sub_wrapping, PhaseProfile};
 use crate::recorder::{EventKind, Recorder};
-use crate::trace::TraceEvent;
 use m4ps_memsim::Counters;
-use m4ps_testkit::json::Json;
 
 /// Number of threads (process-wide) currently attached to any session.
 /// The [`enabled`] fast path; span sites skip counter snapshots when
@@ -19,14 +17,12 @@ use m4ps_testkit::json::Json;
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 struct Shared {
-    tracing: bool,
     epoch: Instant,
     profile: Mutex<PhaseProfile>,
-    events: Mutex<Vec<TraceEvent>>,
-    next_tid: AtomicU32,
     metrics: Registry,
     /// Flight recorder, when a service/study installed one: coarse
-    /// phase enter/exit events land in the calling thread's ring.
+    /// phase enter/exit events land in the calling thread's ring. It is
+    /// the session's only timeline.
     recorder: OnceLock<Recorder>,
 }
 
@@ -42,12 +38,10 @@ struct Frame {
 
 struct ThreadState {
     shared: Arc<Shared>,
-    tid: u32,
     /// Reentrant-attach depth for this session on this thread.
     depth: usize,
     stack: Vec<Frame>,
     profile: PhaseProfile,
-    events: Vec<TraceEvent>,
 }
 
 thread_local! {
@@ -62,16 +56,17 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Creates a session. With `tracing` on, coarse spans additionally
-    /// record Chrome trace events (see [`Profiler::trace_json`]).
-    pub fn new(tracing: bool) -> Self {
+    /// Creates a session.
+    ///
+    /// The argument is ignored: a session's only timeline is the flight
+    /// recorder installed with [`Profiler::set_recorder`]. The parameter
+    /// stays because the benchmark package (`perfbench/`) still passes
+    /// it; it goes with that package's next change.
+    pub fn new(_tracing: bool) -> Self {
         Profiler {
             shared: Arc::new(Shared {
-                tracing,
                 epoch: Instant::now(),
                 profile: Mutex::new(PhaseProfile::new()),
-                events: Mutex::new(Vec::new()),
-                next_tid: AtomicU32::new(0),
                 metrics: Registry::new(),
                 recorder: OnceLock::new(),
             }),
@@ -90,23 +85,6 @@ impl Profiler {
         self.shared.recorder.get()
     }
 
-    /// Whether this session records trace events.
-    pub fn tracing(&self) -> bool {
-        self.shared.tracing
-    }
-
-    /// Adds a `process_labels` metadata event (shown next to the
-    /// process in the trace viewer, e.g. `kernels=avx2`). No-op when
-    /// the session is not tracing.
-    pub fn set_process_label(&self, label: &str) {
-        if self.shared.tracing {
-            let mut events = self.shared.events.lock().expect("events lock");
-            events.push(TraceEvent::ProcessLabel {
-                label: label.to_string(),
-            });
-        }
-    }
-
     /// Attaches the calling thread to this session until the guard
     /// drops. Reentrant for the same session (inner guards are free);
     /// attaching to a *different* session while one is active returns
@@ -122,14 +100,11 @@ impl Profiler {
                 }
                 Some(_) => AttachGuard { attached: false },
                 None => {
-                    let tid = self.shared.next_tid.fetch_add(1, Ordering::Relaxed);
                     *slot = Some(ThreadState {
                         shared: Arc::clone(&self.shared),
-                        tid,
                         depth: 1,
                         stack: Vec::with_capacity(16),
                         profile: PhaseProfile::new(),
-                        events: Vec::new(),
                     });
                     ACTIVE.fetch_add(1, Ordering::Relaxed);
                     AttachGuard { attached: true }
@@ -142,26 +117,6 @@ impl Profiler {
     /// Read after all guards have dropped for the run's final tables.
     pub fn profile(&self) -> PhaseProfile {
         self.shared.profile.lock().expect("profile lock").clone()
-    }
-
-    /// The trace events flushed so far (detached threads only).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.shared.events.lock().expect("events lock").clone()
-    }
-
-    /// The Chrome trace-event document for this session
-    /// (`chrome://tracing` / Perfetto loadable).
-    pub fn trace_json(&self) -> Json {
-        crate::trace::chrome_trace_json(&self.events())
-    }
-
-    /// Writes [`Profiler::trace_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_trace(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.trace_json().pretty())
     }
 
     /// One JSON object per line for every registered metric (JSONL).
@@ -240,14 +195,6 @@ impl Drop for AttachGuard {
                 .lock()
                 .expect("profile lock")
                 .merge(&st.profile);
-            if st.shared.tracing && !st.events.is_empty() {
-                let mut events = st.shared.events.lock().expect("events lock");
-                events.push(TraceEvent::ThreadName {
-                    tid: st.tid,
-                    name: format!("m4ps-{}", st.tid),
-                });
-                events.extend(st.events);
-            }
             ACTIVE.fetch_sub(1, Ordering::Relaxed);
         });
     }
@@ -313,18 +260,9 @@ fn pop_frame(phase: Phase, now: Counters) {
             add_wrapping(&mut stats.counters, &delta);
             stats.entries += 1;
             if frame.phase.is_coarse() {
-                let end_ns = elapsed_ns(&st.shared);
-                stats.wall_ns += end_ns.saturating_sub(frame.start_ns);
+                stats.wall_ns += elapsed_ns(&st.shared).saturating_sub(frame.start_ns);
                 if let Some(rec) = st.shared.recorder.get() {
                     rec.record(EventKind::PhaseExit, None, frame.phase as u64, 0);
-                }
-                if st.shared.tracing {
-                    st.events.push(TraceEvent::Complete {
-                        name: frame.phase.name(),
-                        tid: st.tid,
-                        ts_ns: frame.start_ns,
-                        dur_ns: end_ns.saturating_sub(frame.start_ns),
-                    });
                 }
             }
             // Exclusive attribution: remove this span's inclusive delta

@@ -1,6 +1,6 @@
 //! Always-on flight recorder: per-thread fixed-capacity event rings.
 //!
-//! The profiler (PR 4) answers *where counters went*; the recorder
+//! The profiler answers *where counters went*; the recorder
 //! answers *what the service did and when*. Every participating thread
 //! owns a fixed-capacity ring of compact binary [`Event`]s — frame-job
 //! lifecycle, WFQ picks with their virtual time, admission rejects and
@@ -15,7 +15,12 @@
 //! `m4ps-serve`) the rings are snapshotted into a [`Dump`]: a JSONL
 //! document (one self-describing object per event) plus a Chrome
 //! trace-event export with one lane per session and one per worker,
-//! built on the PR 4 `trace` writer. `m4ps-obs` analyzes dumps offline.
+//! built on the `trace` writer. `m4ps-obs` analyzes dumps offline.
+//!
+//! The recorder is the only timeline: a study's Chrome trace is the
+//! export of its dump, and the recorder's [label](Recorder::set_label)
+//! (`kernels=<tier>`) travels in the JSONL header and the trace's
+//! `process_labels` record.
 //!
 //! # Hot-path cost
 //!
@@ -31,7 +36,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use crate::trace::{chrome_trace_json, TraceEvent};
+use crate::trace::{chrome_trace_doc, TraceEvent};
 use m4ps_testkit::json::Json;
 
 /// `session` value for events not tied to any session.
@@ -233,6 +238,7 @@ struct Ring {
 struct RecorderShared {
     capacity: usize,
     epoch: Instant,
+    label: Mutex<String>,
     rings: Mutex<Vec<Arc<Ring>>>,
     next_tid: AtomicU32,
 }
@@ -264,6 +270,7 @@ impl Recorder {
                     capacity
                 },
                 epoch: Instant::now(),
+                label: Mutex::new(String::new()),
                 rings: Mutex::new(Vec::new()),
                 next_tid: AtomicU32::new(0),
             }),
@@ -278,6 +285,12 @@ impl Recorder {
     /// Whether `other` is a handle to the same recorder.
     pub fn same_recorder(&self, other: &Recorder) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
+    /// Sets the free-form label the recorder's dumps carry (a study
+    /// writes `kernels=<tier>`, the SIMD tier that produced the run).
+    pub fn set_label(&self, label: &str) {
+        label.clone_into(&mut self.shared.label.lock().expect("label lock"));
     }
 
     /// Nanoseconds since this recorder's epoch.
@@ -373,6 +386,7 @@ impl Recorder {
         events.sort_by_key(|e| (e.ev.ts_ns, e.tid));
         Dump {
             capacity: self.shared.capacity,
+            label: self.shared.label.lock().expect("label lock").clone(),
             events_dropped: infos.iter().map(|r| r.dropped).sum(),
             rings: infos,
             events,
@@ -414,6 +428,9 @@ pub struct DumpEvent {
 pub struct Dump {
     /// Per-thread ring capacity the recorder ran with.
     pub capacity: usize,
+    /// The recorder's label ([`Recorder::set_label`]); empty when none
+    /// was set.
+    pub label: String,
     /// Total events displaced before this snapshot (sum over rings).
     pub events_dropped: u64,
     /// Every ring that recorded at least one event.
@@ -443,6 +460,7 @@ impl Dump {
                 ("version", Json::Num(1.0)),
                 ("capacity", Json::Num(self.capacity as f64)),
                 ("events_dropped", Json::Num(self.events_dropped as f64)),
+                ("label", Json::str(self.label.clone())),
             ]),
         );
         for r in &self.rings {
@@ -478,13 +496,15 @@ impl Dump {
         out
     }
 
-    /// Parses a dump back from its JSONL form.
+    /// Parses a dump back from its JSONL form. A header without a
+    /// `label` parses with an empty one.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first malformed line.
     pub fn from_jsonl(text: &str) -> Result<Dump, String> {
         let mut capacity = 0usize;
+        let mut label = String::new();
         let mut events_dropped = 0u64;
         let mut saw_header = false;
         let mut rings = Vec::new();
@@ -508,6 +528,11 @@ impl Dump {
                     saw_header = true;
                     capacity = num("capacity")? as usize;
                     events_dropped = num("events_dropped")? as u64;
+                    if let Some(l) = doc.get("label") {
+                        l.as_str()
+                            .ok_or_else(|| format!("line {}: bad label", i + 1))?
+                            .clone_into(&mut label);
+                    }
                 }
                 "ring" => rings.push(RingInfo {
                     tid: num("tid")? as u32,
@@ -551,6 +576,7 @@ impl Dump {
         }
         Ok(Dump {
             capacity,
+            label,
             events_dropped,
             rings,
             events,
@@ -564,12 +590,15 @@ impl Dump {
     /// Load in `chrome://tracing` or Perfetto.
     pub fn to_chrome_trace(&self) -> Json {
         let mut events: Vec<TraceEvent> = Vec::new();
-        events.push(TraceEvent::ProcessLabel {
-            label: format!(
-                "m4ps flight recorder (capacity {}, dropped {})",
-                self.capacity, self.events_dropped
-            ),
-        });
+        let mut label = format!(
+            "m4ps flight recorder (capacity {}, dropped {})",
+            self.capacity, self.events_dropped
+        );
+        if !self.label.is_empty() {
+            label.push_str(", ");
+            label.push_str(&self.label);
+        }
+        events.push(TraceEvent::ProcessLabel { label });
         for r in &self.rings {
             events.push(TraceEvent::ThreadName {
                 tid: r.tid,
@@ -671,23 +700,30 @@ impl Dump {
                 name: format!("session-{s}"),
             });
         }
-        chrome_trace_json(&events)
+        chrome_trace_doc(&events)
     }
 
     /// Writes the JSONL dump to `path` and the Chrome trace to
-    /// `<path stem>.trace.json` next to it. Returns the trace path.
+    /// [`Dump::trace_path`]`(path)` next to it. Returns the trace path.
     ///
     /// # Errors
     ///
     /// Propagates the underlying filesystem error.
     pub fn write(&self, path: &str) -> std::io::Result<String> {
         std::fs::write(path, self.to_jsonl())?;
-        let trace_path = match path.strip_suffix(".jsonl") {
-            Some(stem) => format!("{stem}.trace.json"),
-            None => format!("{path}.trace.json"),
-        };
+        let trace_path = Dump::trace_path(path);
         std::fs::write(&trace_path, self.to_chrome_trace().pretty())?;
         Ok(trace_path)
+    }
+
+    /// Where [`Dump::write`] puts the Chrome trace for a dump written
+    /// to `path`: `<path stem>.trace.json` (`flight.jsonl` →
+    /// `flight.trace.json`).
+    pub fn trace_path(path: &str) -> String {
+        match path.strip_suffix(".jsonl") {
+            Some(stem) => format!("{stem}.trace.json"),
+            None => format!("{path}.trace.json"),
+        }
     }
 }
 
@@ -785,6 +821,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let rec = Recorder::new(8);
+        rec.set_label("kernels=scalar");
         rec.record(EventKind::SessionOpen, Some(1), 2, 0);
         rec.record(EventKind::FrameDispatch, Some(1), 4096, 1234);
         rec.record(EventKind::FrameEnd, Some(1), 0, 99_000);

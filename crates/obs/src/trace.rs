@@ -1,29 +1,19 @@
-//! Chrome trace-event export.
+//! Chrome trace-event writer behind [`Dump::to_chrome_trace`](crate::Dump::to_chrome_trace).
 //!
 //! Emits the JSON Object Format of the Trace Event spec: a
-//! `traceEvents` array of complete (`"ph": "X"`) events plus
-//! per-thread `thread_name` metadata, loadable in `chrome://tracing`
-//! and Perfetto. Timestamps are microseconds from the session epoch.
+//! `traceEvents` array of complete (`"ph": "X"`) and instant (`"ph":
+//! "i"`) events plus `thread_name` / `process_labels` metadata,
+//! loadable in `chrome://tracing` and Perfetto. Timestamps are
+//! microseconds from the recorder epoch.
 
 use m4ps_testkit::json::Json;
 
-/// One recorded trace event.
+/// One trace event.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A closed coarse span (`"ph": "X"`).
-    Complete {
-        /// Phase name (the event's display name).
-        name: &'static str,
-        /// Session-local thread id.
-        tid: u32,
-        /// Start, nanoseconds since the session epoch.
-        ts_ns: u64,
-        /// Duration in nanoseconds.
-        dur_ns: u64,
-    },
+pub(crate) enum TraceEvent {
     /// `thread_name` metadata (`"ph": "M"`).
     ThreadName {
-        /// Session-local thread id.
+        /// Lane id.
         tid: u32,
         /// Display name.
         name: String,
@@ -34,9 +24,8 @@ pub enum TraceEvent {
         /// Label text.
         label: String,
     },
-    /// A closed span with a computed name and numeric args (`"ph":
-    /// "X"`) — used by the flight-recorder export, whose names carry
-    /// frame/session ids and so cannot be `&'static str`.
+    /// A closed span with numeric args (`"ph": "X"`): a coarse phase
+    /// on a thread lane, or a frame (`frame 3`) on a session lane.
     Span {
         /// Display name (e.g. `frame 3`).
         name: String,
@@ -72,20 +61,6 @@ fn us(ns: u64) -> f64 {
 impl TraceEvent {
     fn to_json(&self) -> Json {
         match self {
-            TraceEvent::Complete {
-                name,
-                tid,
-                ts_ns,
-                dur_ns,
-            } => Json::obj(vec![
-                ("name", Json::str(*name)),
-                ("cat", Json::str("m4ps")),
-                ("ph", Json::str("X")),
-                ("ts", Json::Num(us(*ts_ns))),
-                ("dur", Json::Num(us(*dur_ns))),
-                ("pid", Json::Num(PID)),
-                ("tid", Json::Num(f64::from(*tid))),
-            ]),
             TraceEvent::ThreadName { tid, name } => Json::obj(vec![
                 ("name", Json::str("thread_name")),
                 ("ph", Json::str("M")),
@@ -143,7 +118,7 @@ fn args_json(args: &[(&'static str, f64)]) -> Json {
 }
 
 /// Builds the full trace document for a set of events.
-pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> Json {
+pub(crate) fn chrome_trace_doc(events: &[TraceEvent]) -> Json {
     Json::obj(vec![
         (
             "traceEvents",
@@ -164,14 +139,15 @@ mod tests {
                 tid: 0,
                 name: "m4ps-0".to_string(),
             },
-            TraceEvent::Complete {
-                name: "vop.encode",
+            TraceEvent::Span {
+                name: "vop.encode".to_string(),
                 tid: 0,
                 ts_ns: 1_500,
                 dur_ns: 2_000_000,
+                args: Vec::new(),
             },
         ];
-        let doc = chrome_trace_json(&events);
+        let doc = chrome_trace_doc(&events);
         let parsed = Json::parse(&doc.pretty()).unwrap();
         let arr = parsed.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(arr.len(), 2);

@@ -1,11 +1,12 @@
 //! Flight-recorder contracts: ring overflow semantics under arbitrary
-//! event sequences, and a pinned golden dump round-tripping through
-//! JSONL and the Chrome-trace export.
+//! event sequences, and a pinned golden dump (with its label)
+//! round-tripping through JSONL and the Chrome-trace export.
 //!
 //! Runs on the in-tree [`m4ps_testkit::prop`] harness; failures print a
 //! replayable seed (`M4PS_PROP_REPLAY=0x...`).
 
 use m4ps_obs::{Dump, DumpEvent, Event, EventKind, Recorder, RingInfo, NO_SESSION};
+use m4ps_testkit::json::Json;
 use m4ps_testkit::prop::{check, Config};
 use m4ps_testkit::rng::Rng;
 use m4ps_testkit::{prop_assert, prop_assert_eq};
@@ -77,6 +78,7 @@ fn golden_dump() -> Dump {
     };
     Dump {
         capacity: 16,
+        label: "kernels=scalar".to_string(),
         events_dropped: 3,
         rings: vec![
             RingInfo {
@@ -107,15 +109,41 @@ fn golden_dump() -> Dump {
 }
 
 /// JSONL serialization is lossless: parse(serialize(dump)) == dump,
-/// including ring metadata and the drop counter.
+/// including ring metadata, the label and the drop counter.
 #[test]
 fn golden_dump_jsonl_round_trips() {
     let dump = golden_dump();
     let text = dump.to_jsonl();
+    let header = Json::parse(text.lines().next().unwrap()).unwrap();
+    assert_eq!(
+        header.get("label").and_then(Json::as_str),
+        Some("kernels=scalar"),
+        "header carries the label:\n{text}"
+    );
     let back = Dump::from_jsonl(&text).expect("golden dump must parse");
     assert_eq!(back, dump);
+    assert_eq!(back.label, "kernels=scalar");
     // A second generation is byte-stable (no map-iteration drift).
     assert_eq!(back.to_jsonl(), text);
+}
+
+/// A header written without a label (dumps from before the field)
+/// parses with an empty one; a label set on a live recorder reaches
+/// its snapshot.
+#[test]
+fn label_less_header_parses_as_empty() {
+    let text = "{\"type\":\"header\",\"version\":1,\"capacity\":16,\"events_dropped\":0}\n\
+         {\"type\":\"ring\",\"tid\":0,\"name\":\"main\",\"dropped\":0}\n\
+         {\"type\":\"event\",\"tid\":0,\"ts_ns\":5,\"kind\":\"pool.park\",\"session\":null,\"a\":0,\"b\":0}\n";
+    let dump = Dump::from_jsonl(text).expect("label-less header parses");
+    assert_eq!(dump.label, "");
+    assert_eq!(dump.capacity, 16);
+    assert_eq!(dump.events.len(), 1);
+
+    let rec = Recorder::new(4);
+    assert_eq!(rec.snapshot().label, "");
+    rec.set_label("kernels=avx2");
+    assert_eq!(rec.snapshot().label, "kernels=avx2");
 }
 
 /// The Chrome-trace export of the golden dump carries every lane the
@@ -126,6 +154,7 @@ fn golden_dump_chrome_trace_has_expected_lanes() {
     let dump = golden_dump();
     let trace = dump.to_chrome_trace().pretty();
     for needle in [
+        "kernels=scalar\"",    // the label in process_labels
         "\"session-4\"",       // session lane metadata
         "\"m4ps-worker-0\"",   // worker lane metadata
         "\"admission\"",       // admission lane metadata

@@ -73,8 +73,10 @@ cargo test -q --offline -p m4ps-core --test layout_digest
 echo "== benchmark package build + self-test (offline) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Observability smoke: traced encode, trace JSON round-trip, and the
-# per-phase JSONL the bench gate annotates its report with.
+# Observability smoke: encode with the flight recorder on, its dump's
+# Chrome-trace round-trip, and the per-phase JSONL the bench gate
+# annotates its report with; writes TRACE_smoke.jsonl +
+# TRACE_smoke.trace.json + PHASES_smoke.jsonl.
 scripts/trace_smoke.sh
 
 # Multi-session service smoke: 64-session closed-loop batch plus an
@@ -121,4 +123,4 @@ fi
 
 echo "== verify OK =="
 echo "bench report: $PWD/BENCH_smoke.json"
-echo "trace report: $PWD/TRACE_smoke.json"
+echo "trace report: $PWD/TRACE_smoke.trace.json"
