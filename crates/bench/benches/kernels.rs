@@ -514,7 +514,7 @@ fn bench_obs_overhead(r: &mut BenchRunner) {
     // The same P-frame encode with and without an installed profiler
     // session. With no session, spans cost one atomic load each; with
     // one, every span snapshots the counters twice and does ~40 word
-    // ops. bench_compare gates obs=on against obs=off (<5% overhead).
+    // ops. bench_compare gates obs=on against obs=off (<8% overhead).
     let res = Resolution::PAL;
     let scene = Scene::new(SceneSpec {
         resolution: res,

@@ -132,12 +132,6 @@ impl BitWriter {
         self.align();
         self.bytes
     }
-
-    /// Borrow of the completed bytes written so far (excludes any pending
-    /// partial byte).
-    pub fn completed_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
 }
 
 #[cfg(test)]

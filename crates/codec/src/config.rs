@@ -38,14 +38,6 @@ impl GopStructure {
             b_frames: 2,
         }
     }
-
-    /// IPPP… (no B-VOPs).
-    pub fn ipp() -> Self {
-        GopStructure {
-            intra_period: 12,
-            b_frames: 0,
-        }
-    }
 }
 
 /// Full encoder configuration.

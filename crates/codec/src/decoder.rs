@@ -3,8 +3,8 @@
 //! the paper instruments for its burstiness study).
 
 use crate::encoder::{
-    fill_bbox_ring, fill_grey_mb, predict_mb_4mv, reconstruct_inter_mb, Scheduling, SliceScratch,
-    VopStats, RESYNC_MARKER, SLICE_CHARGE_SPAN,
+    fill_bbox_ring, fill_grey_mb, predict_mb_4mv, reconstruct_inter_mb, SliceScratch, VopStats,
+    RESYNC_MARKER, SLICE_CHARGE_SPAN,
 };
 use crate::error::CodecError;
 use crate::header::{VolHeader, VopHeader, MAX_DIMENSION};
@@ -12,18 +12,18 @@ use crate::mbops::{
     chroma_mv, write_block, write_block_u8, IntraPredState, MvPredictor, StreamCharge,
 };
 use crate::mc::{average_predictions, motion_compensate_block};
-use crate::plane::{FrameSink, FrameViewMut, TracedFrame, TracedPlane};
+use crate::plane::{FrameSink, TracedFrame, TracedPlane};
 use crate::shape::{classify_bab, decode_alpha_plane, BabClass};
-use crate::slices::partition_rows;
+use crate::slices::{partition_rows, run_row_chains, step_rows, Scheduling, SliceBody};
 use crate::texture::TextureCoder;
 use crate::types::{MacroblockKind, MotionVector, VopKind};
 use crate::vlc::{get_se, get_ue};
 use m4ps_bitstream::{BitReader, BitstreamError, StartCode};
 use m4ps_memsim::{AddressSpace, MemModel, ParallelModel};
 use m4ps_obs::{span, Phase};
-use m4ps_pool::{Scope, WorkerPool};
+use m4ps_pool::WorkerPool;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Largest legal motion-vector component in half-pels: the search range
 /// plus half-pel refinement can never leave the [`crate::PAD`]-pixel
@@ -466,16 +466,16 @@ impl VideoObjectDecoder {
 /// Decodes one VOP's macroblock layer (after shape) — the decoder's one
 /// construction, the mirror of the encoder's `encode_vop`.
 ///
-/// A single-slice VOP (the paper configuration) decodes its rows
-/// directly on the caller's model, reader and charge window: no
-/// pre-scan, no fork. A multi-slice VOP always takes the slice-chain
-/// construction: a cheap untraced pre-scan locates every slice header
-/// (byte-aligned resync marker carrying the slice's first macroblock
-/// index), then each slice decodes as an independent task chain —
-/// reader clone bounded to its own segment (up to the next located
-/// slice header, or the VOP's closing startcode), forked memory model,
-/// recycled [`SliceScratch`], disjoint reconstruction row band, and a
-/// per-slice-index charge window at
+/// A single-slice VOP (the paper configuration) steps its one
+/// [`DecodeSlice`] directly on the caller's model, reader and charge
+/// window: no pre-scan, no fork. A multi-slice VOP always takes the
+/// row-chain construction: a cheap untraced pre-scan locates every slice
+/// header (byte-aligned resync marker carrying the slice's first
+/// macroblock index), then [`run_row_chains`] decodes each slice as an
+/// independent task chain on a forked memory model — reader clone
+/// bounded to its own segment (up to the next located slice header, or
+/// the VOP's closing startcode), recycled [`SliceScratch`], disjoint
+/// reconstruction row band, and a per-slice-index charge window at
 /// `stream_base + (s+1) * SLICE_CHARGE_SPAN`. The chains run on the
 /// attached pool, or on a lazily created one-worker pool (no background
 /// threads: every task runs inline on the caller), so reconstruction,
@@ -520,23 +520,23 @@ fn decode_mb_layer<M: ParallelModel>(
         fwd,
         bwd,
         mbx_range: mbx_range.clone(),
-        n_slices: slice_rows.len(),
     };
     let total_mbs = mbx_range.len() * mby_range.len();
 
     let stats = if slice_rows.len() == 1 {
         // Unsliced: the macroblocks follow the header bits directly.
-        let sc = &mut scratch[0];
-        sc.fwd_pred.reset();
-        sc.bwd_pred.reset();
-        let mut cur = SliceCursor::new(r.clone(), charge.clone(), bit_start, 0, total_mbs);
-        let res = mby_range
-            .clone()
-            .try_for_each(|mby| decode_slice_row(mem, recon, sc, &mut cur, &ctx, mby));
-        *r = cur.r;
-        *charge = cur.charge;
+        let mut slice = DecodeSlice {
+            ctx: &ctx,
+            recon: &mut *recon,
+            scratch: &mut scratch[0],
+            cur: SliceCursor::new(r.clone(), charge.clone(), bit_start, 0, total_mbs),
+            last: true,
+        };
+        let res = step_rows(&mut slice, mem, mby_range.clone(), mby_range.start);
+        *r = slice.cur.r;
+        *charge = slice.cur.charge;
         res?;
-        cur.stats
+        slice.cur.stats
     } else {
         // Sliced: consume the header segment's stuffing (slice 0 starts
         // byte-aligned) and charge it in the parent window — the decode
@@ -561,12 +561,11 @@ fn decode_mb_layer<M: ParallelModel>(
         if header.resync_interval.is_none() && starts.contains(&None) {
             return Err(CodecError::InvalidStream("slice header mismatch"));
         }
-        let grain = sched.grain();
-        let views = recon.split_mb_rows_mut(&slice_rows);
-        let chains: Vec<DecodeChain<'_, M>> = slice_rows
+        let n_slices = slice_rows.len();
+        let mut views = recon.split_mb_rows_mut(&slice_rows);
+        let slices = slice_rows
             .iter()
-            .cloned()
-            .zip(views)
+            .zip(&mut views)
             .zip(scratch.iter_mut())
             .enumerate()
             .map(|(s, ((rows, view), sc))| {
@@ -594,38 +593,24 @@ fn decode_mb_layer<M: ParallelModel>(
                         cur
                     }
                 };
-                DecodeChain {
-                    smem: mem.fork(),
-                    view,
+                let slice = DecodeSlice {
+                    ctx: &ctx,
+                    recon: view,
                     scratch: sc,
                     cur,
-                    slice_index: s,
-                    next_row: rows.start,
-                    rows,
-                    grain,
-                }
-            })
-            .collect();
+                    last: s + 1 == n_slices,
+                };
+                (rows.clone(), slice)
+            });
 
         let pool = pool.get_or_insert_with(|| Arc::new(WorkerPool::new(threads)));
-        let slots = run_decode_chains(pool, &ctx, chains);
-
         let mut stats = VopStats::default();
         let mut end_pos = r.bit_pos();
-        for slot in slots {
-            let (sstats, end, smem) = slot
-                .into_inner()
-                .expect("decode slot lock")
-                .expect("scope waits for every slice chain")?;
-            let child_total = *smem.counters();
-            mem.absorb(smem);
-            // Keep the caller's open phase from double-counting the jump
-            // `absorb` just folded in (the slices' own domain spans carry
-            // those counters, phase by phase).
-            m4ps_obs::absorbed(&child_total);
+        run_row_chains(mem, pool, sched, slices, |(sstats, end)| {
             stats.merge(&sstats);
             end_pos = end_pos.max(end);
-        }
+        })?;
+        drop(views);
         // Leave the reader after the furthest macroblock read (the next
         // startcode scan handles the final stuffing).
         r.seek_to(end_pos);
@@ -711,7 +696,6 @@ struct DecodeCtx<'a> {
     fwd: Option<&'a TracedFrame>,
     bwd: Option<&'a TracedFrame>,
     mbx_range: Range<usize>,
-    n_slices: usize,
 }
 
 /// One slice's decode cursor: its reader and charge window, stats, the
@@ -757,121 +741,47 @@ impl<'a> SliceCursor<'a> {
     }
 }
 
-/// Everything a decode slice's row chain carries from one task to the
-/// next: the forked counter stream, its reconstruction band and
-/// recycled scratch, the slice cursor, and the row position. Moving the
-/// whole state along the chain pins determinism — each fork sees
-/// exactly the access sequence the coarse slice job produces, just cut
-/// into one task per `grain` rows.
-struct DecodeChain<'a, M> {
-    smem: M,
-    view: FrameViewMut<'a>,
+/// One slice of a VOP as the decoder decodes it: its reconstruction
+/// rows, recycled scratch and cursor. A single-slice VOP runs it on the
+/// caller's reader and charge window; a slice chain on its own segment.
+/// The cursor keeps the stream's own lifetime `'r`, so the single-slice
+/// path can hand its reader back to the caller.
+struct DecodeSlice<'a, 'r, F> {
+    ctx: &'a DecodeCtx<'a>,
+    recon: &'a mut F,
     scratch: &'a mut SliceScratch,
-    cur: SliceCursor<'a>,
-    slice_index: usize,
-    rows: Range<usize>,
-    next_row: usize,
-    grain: usize,
+    cur: SliceCursor<'r>,
+    /// Whether this is the VOP's last slice.
+    last: bool,
 }
 
-/// A finished decode slice: stats, reader end position (after the last
-/// macroblock read), and the forked model to absorb.
-type DecodeSliceOut<M> = (VopStats, u64, M);
+impl<M: MemModel, F: FrameSink> SliceBody<M> for DecodeSlice<'_, '_, F> {
+    const PHASE: Phase = Phase::DecodeSlice;
+    /// The slice's statistics and the reader position after its last
+    /// macroblock read.
+    type Out = (VopStats, u64);
 
-/// One slice's result slot: filled exactly once by its chain's final
-/// task, drained by the coordinator in slice order.
-type DecodeSlot<M> = Mutex<Option<Result<DecodeSliceOut<M>, CodecError>>>;
-
-/// Spawns every chain's first task into one pool scope and returns the
-/// per-slice result slots (in slice order) once all chains finished.
-fn run_decode_chains<'a, M: ParallelModel + 'a>(
-    pool: &WorkerPool,
-    ctx: &DecodeCtx<'a>,
-    mut chains: Vec<DecodeChain<'a, M>>,
-) -> Vec<DecodeSlot<M>> {
-    let slots: Vec<DecodeSlot<M>> = chains.iter().map(|_| Mutex::new(None)).collect();
-    let session = m4ps_obs::current();
-    pool.scope(session.as_ref(), |scope| {
-        for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-            scope.spawn(move |s| decode_chain_step(chain, ctx, slot, s));
-        }
-    });
-    slots
-}
-
-/// One task of a decode slice's row chain: decodes up to `grain`
-/// macroblock rows, then either spawns the continuation or finalizes
-/// the slice into its result slot. A panic anywhere in the slice body
-/// is caught at this task boundary and surfaces as a clean per-slice
-/// error — the pool is never poisoned and the other slices still
-/// decode.
-fn decode_chain_step<'s, M: ParallelModel + 's>(
-    mut st: DecodeChain<'s, M>,
-    ctx: &'s DecodeCtx<'s>,
-    slot: &'s DecodeSlot<M>,
-    scope: &Scope<'s>,
-) {
-    // A *domain* span: this task charges the forked stream `st.smem`,
-    // not the caller's model (the coordinator accounts for the fork via
-    // `absorbed`). Spans are per task, so each worker's span stack
-    // stays balanced; the per-pair deltas sum to the fork total.
-    let obs_on = m4ps_obs::enabled();
-    if obs_on {
-        m4ps_obs::enter_domain(Phase::DecodeSlice, *st.smem.counters());
-    }
-    let body = |st: &mut DecodeChain<'s, M>| -> Result<(), CodecError> {
-        if st.next_row == st.rows.start {
+    fn step(&mut self, mem: &mut M, mby: usize, first: bool) -> Result<(), CodecError> {
+        if first {
             // Recycled predictors start from reset — the same state a
             // fresh `MvPredictor::new` carries.
-            st.scratch.fwd_pred.reset();
-            st.scratch.bwd_pred.reset();
+            self.scratch.fwd_pred.reset();
+            self.scratch.bwd_pred.reset();
         }
-        let stop = st.next_row.saturating_add(st.grain).min(st.rows.end);
-        while st.next_row < stop {
-            decode_slice_row(
-                &mut st.smem,
-                &mut st.view,
-                st.scratch,
-                &mut st.cur,
-                ctx,
-                st.next_row,
-            )?;
-            st.next_row += 1;
-        }
-        Ok(())
-    };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut st)))
-        .unwrap_or(Err(CodecError::InvalidStream("panic during slice decode")));
-    let finished = match result {
-        Err(e) => Some(Err(e)),
-        Ok(()) if st.next_row < st.rows.end => None,
-        Ok(()) => {
-            let cur = &mut st.cur;
-            let end_pos = cur.r.bit_pos();
-            cur.r.skip_stuffing();
-            // Charge the slice's trailing stuffing, up to the next
-            // slice's header. The LAST slice's stuffing is the one tail
-            // no slice reads (decoding stops right after the final
-            // macroblock), so stop there too.
-            let charge_end = if st.slice_index + 1 == ctx.n_slices {
-                end_pos
-            } else {
-                cur.r.bit_pos()
-            };
-            cur.charge
-                .charge_to(&mut st.smem, charge_end - cur.slice_start);
-            Some(Ok(end_pos))
-        }
-    };
-    if obs_on {
-        m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
+        decode_slice_row(mem, self.recon, self.scratch, &mut self.cur, self.ctx, mby)
     }
-    match finished {
-        None => scope.spawn(move |s| decode_chain_step(st, ctx, slot, s)),
-        Some(res) => {
-            *slot.lock().expect("decode slot lock") =
-                Some(res.map(|end| (st.cur.stats, end, st.smem)));
-        }
+
+    /// Charges the slice's trailing stuffing, up to the next slice's
+    /// header. The last slice's stuffing is the one tail no slice reads
+    /// (decoding stops right after the final macroblock), so it stops
+    /// there too.
+    fn finish(&mut self, mem: &mut M) -> Self::Out {
+        let cur = &mut self.cur;
+        let end_pos = cur.r.bit_pos();
+        cur.r.skip_stuffing();
+        let charge_end = if self.last { end_pos } else { cur.r.bit_pos() };
+        cur.charge.charge_to(mem, charge_end - cur.slice_start);
+        (cur.stats, end_pos)
     }
 }
 

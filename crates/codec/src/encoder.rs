@@ -11,19 +11,19 @@ use crate::mbops::{
 };
 use crate::mc::{average_predictions, motion_compensate_block};
 use crate::me::{MotionSearch, SearchCharges};
-use crate::plane::{FrameSink, FrameViewMut, RowSink, TracedFrame, TracedPlane};
+use crate::plane::{FrameSink, RowSink, TracedFrame, TracedPlane};
 use crate::rate::RateController;
 use crate::shape::{classify_bab, encode_alpha_plane, BabClass};
-use crate::slices::partition_rows;
+use crate::slices::{partition_rows, run_row_chains, step_rows, Scheduling, SliceBody};
 use crate::texture::TextureCoder;
 use crate::types::{MacroblockKind, MotionVector, VopKind};
 use crate::vlc::{put_se, put_ue};
 use m4ps_bitstream::BitWriter;
 use m4ps_memsim::{AddressSpace, MemModel, ParallelModel};
 use m4ps_obs::{span, MetricId, Phase};
-use m4ps_pool::{Scope, WorkerPool};
+use m4ps_pool::WorkerPool;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A borrowed view of one 4:2:0 input frame.
 #[derive(Debug, Clone, Copy)]
@@ -124,50 +124,6 @@ pub struct EncodedVop {
 
 /// Macroblock-aligned bounding box `(x0, y0, w, h)` in pixels.
 pub(crate) type Bbox = (usize, usize, usize, usize);
-
-/// Environment variable selecting the default [`Scheduling`] mode.
-/// `slice` (or `slice-parallel`) picks [`Scheduling::SliceParallel`];
-/// anything else — including unset — picks [`Scheduling::Wavefront`].
-pub const SCHED_ENV: &str = "M4PS_SCHED";
-
-/// How a VOP's macroblock work is decomposed onto the worker pool.
-///
-/// Purely a scheduling knob: both modes build the *same* per-slice
-/// forked counter streams, charge windows and bitstream segments, so
-/// bitstream bytes and merged [`Counters`](m4ps_memsim::Counters) are
-/// bit-identical across modes and thread counts (pinned by
-/// `tests/parallel.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// One task per slice: the coarse decomposition. An expensive
-    /// slice serializes everything scheduled behind it on one worker.
-    SliceParallel,
-    /// One task per macroblock row, chained per slice: each row task
-    /// enqueues its slice's next row as soon as the row's dependencies
-    /// (MV-predictor state, bit position, forked counter stream)
-    /// resolve, so scheduling balances skewed row costs via stealing.
-    #[default]
-    Wavefront,
-}
-
-impl Scheduling {
-    /// Mode from the `M4PS_SCHED` environment variable.
-    pub fn from_env() -> Self {
-        match std::env::var(SCHED_ENV).ok().as_deref().map(str::trim) {
-            Some("slice") | Some("slice-parallel") => Scheduling::SliceParallel,
-            _ => Scheduling::Wavefront,
-        }
-    }
-
-    /// Macroblock rows coded per task (shared by the slice-parallel
-    /// encoder and decoder).
-    pub(crate) fn grain(self) -> usize {
-        match self {
-            Scheduling::SliceParallel => usize::MAX,
-            Scheduling::Wavefront => 1,
-        }
-    }
-}
 
 /// Queued B-frame awaiting its backward anchor.
 #[derive(Debug)]
@@ -465,9 +421,10 @@ impl VideoObjectCoder {
     /// # Errors
     ///
     /// Returns [`CodecError::DimensionMismatch`] for wrong plane sizes
-    /// or a frame whose size is not the VOL's, and
+    /// or a frame whose size is not the VOL's,
     /// [`CodecError::InvalidConfig`] when a shape layer is not given an
-    /// alpha mask (or vice versa) or the mask is not `width × height`.
+    /// alpha mask (or vice versa) or the mask is not `width × height`,
+    /// and [`CodecError::SliceTaskPanicked`] when a slice task panicked.
     pub fn encode_frame<M: ParallelModel>(
         &mut self,
         mem: &mut M,
@@ -518,8 +475,8 @@ impl VideoObjectCoder {
         let kind = if kind == VopKind::B { VopKind::P } else { kind };
         self.load_cur(mem, frame, alpha);
         let mut out = Vec::with_capacity(1 + self.queue_len);
-        out.push(self.encode_anchor(mem, kind, idx, None));
-        out.extend(self.drain_b_queue(mem));
+        out.push(self.encode_anchor(mem, kind, idx, None)?);
+        self.drain_b_queue(mem, &mut out)?;
         Ok(out)
     }
 
@@ -590,7 +547,7 @@ impl VideoObjectCoder {
         kind: VopKind,
         display_index: usize,
         queued: Option<usize>,
-    ) -> EncodedVop {
+    ) -> Result<EncodedVop, CodecError> {
         let kind = if self.have_anchor { kind } else { VopKind::I };
         let new_idx = if self.have_anchor {
             1 - self.prev_anchor
@@ -622,21 +579,25 @@ impl VideoObjectCoder {
             None,
             recon,
             !self.vol.binary_shape,
-        );
+        )?;
         self.prev_anchor = new_idx;
         self.have_anchor = true;
-        vop
+        Ok(vop)
     }
 
-    /// Encodes every queued B-frame, one VOP after another, against the
-    /// two live anchors: forward from the older, backward from the
-    /// newer. Under rate control each VOP's bit count sets the next
-    /// one's quantizer.
-    fn drain_b_queue<M: ParallelModel>(&mut self, mem: &mut M) -> Vec<EncodedVop> {
+    /// Encodes every queued B-frame into `out`, one VOP after another,
+    /// against the two live anchors: forward from the older, backward
+    /// from the newer. Under rate control each VOP's bit count sets the
+    /// next one's quantizer.
+    fn drain_b_queue<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        out: &mut Vec<EncodedVop>,
+    ) -> Result<(), CodecError> {
         let older = 1 - self.prev_anchor;
         let (fwd, bwd) = (&self.anchors[older], &self.anchors[1 - older]);
-        let mut out = Vec::with_capacity(self.queue_len);
-        for slot in &self.b_slots[..self.queue_len] {
+        let queued = std::mem::take(&mut self.queue_len);
+        for slot in &self.b_slots[..queued] {
             out.push(self.vop.code(
                 mem,
                 VopKind::B,
@@ -647,10 +608,9 @@ impl VideoObjectCoder {
                 Some(bwd),
                 &mut self.b_recon,
                 false,
-            ));
+            )?);
         }
-        self.queue_len = 0;
-        out
+        Ok(())
     }
 
     /// Encodes any still-queued B-frames as trailing P-VOPs and ends the
@@ -658,15 +618,14 @@ impl VideoObjectCoder {
     ///
     /// # Errors
     ///
-    /// Currently infallible; the `Result` reserves room for bitstream
-    /// finalization errors.
+    /// [`CodecError::SliceTaskPanicked`] when a slice task panicked.
     pub fn flush<M: ParallelModel>(&mut self, mem: &mut M) -> Result<Vec<EncodedVop>, CodecError> {
-        let mut out = Vec::with_capacity(self.queue_len);
-        for q in 0..self.queue_len {
+        let queued = std::mem::take(&mut self.queue_len);
+        let mut out = Vec::with_capacity(queued);
+        for q in 0..queued {
             let idx = self.b_slots[q].display_index;
-            out.push(self.encode_anchor(mem, VopKind::P, idx, Some(q)));
+            out.push(self.encode_anchor(mem, VopKind::P, idx, Some(q))?);
         }
-        self.queue_len = 0;
         Ok(out)
     }
 
@@ -689,7 +648,7 @@ impl VideoObjectCoder {
         self.next_display += 1;
         let idx = self.display_offset + self.display_scale * idx;
         self.load_cur(mem, frame, alpha);
-        Ok(self.vop.code(
+        self.vop.code(
             mem,
             VopKind::P,
             idx,
@@ -699,7 +658,7 @@ impl VideoObjectCoder {
             None,
             &mut self.b_recon,
             false,
-        ))
+        )
     }
 }
 
@@ -734,7 +693,7 @@ impl VopCoder {
         bwd: Option<&TracedFrame>,
         recon: &mut TracedFrame,
         pad: bool,
-    ) -> EncodedVop {
+    ) -> Result<EncodedVop, CodecError> {
         let qp = self.rate.qp_for(kind);
         let header = VopHeader {
             kind,
@@ -752,7 +711,7 @@ impl VopCoder {
         if obs_on {
             m4ps_obs::enter(Phase::VopEncode, window_start);
         }
-        let (bytes, stats) = encode_vop(
+        let body = encode_vop(
             mem,
             header,
             cur,
@@ -770,12 +729,13 @@ impl VopCoder {
             &pool,
             self.sched,
         );
-        if pad {
+        if pad && body.is_ok() {
             recon.pad_borders(mem);
         }
         if obs_on {
             m4ps_obs::exit(Phase::VopEncode, *mem.counters());
         }
+        let (bytes, stats) = body?;
         self.vop_window = self
             .vop_window
             .merged_with(&mem.counters().delta_since(&window_start));
@@ -786,14 +746,14 @@ impl VopCoder {
         });
         self.stream_bits += stats.bits;
         self.rate.update(kind, stats.bits);
-        EncodedVop {
+        Ok(EncodedVop {
             kind,
             display_index,
             qp,
             bytes,
             stats,
             recon: recon_copy,
-        }
+        })
     }
 }
 
@@ -916,16 +876,22 @@ impl SliceScratch {
 
 /// Encodes one VOP. Returns the byte payload and statistics.
 ///
+/// A single-slice VOP (the paper configuration) codes its rows straight
+/// into the header's writer and charge window on the caller's model.
 /// When `header.slices > 1` the macroblock rows are partitioned with
-/// [`partition_rows`] and the slices run as independent jobs on `pool`.
-/// Each job encodes into its own [`BitWriter`] against a forked memory
-/// model ([`ParallelModel::fork`]), reads the shared reference frames
-/// by `&`, and writes the reconstruction *in place* through a disjoint
-/// [`FrameViewMut`](crate::FrameViewMut) over its macroblock rows — no
-/// frame clone, no stitch-back copy. Because the partition, per-slice
-/// prediction resets and charge addresses depend only on the *slice
-/// count* (a bitstream parameter), the output is bit-exact for any
-/// thread count.
+/// [`partition_rows`] and the slices run as row chains on `pool`
+/// ([`run_row_chains`]). Each slice encodes into its own [`BitWriter`]
+/// against a forked memory model ([`ParallelModel::fork`]), reads the
+/// shared reference frames by `&`, and writes the reconstruction *in
+/// place* through a disjoint [`FrameViewMut`](crate::FrameViewMut) over
+/// its macroblock rows — no frame clone, no stitch-back copy. Because the
+/// partition, per-slice prediction resets and charge addresses depend
+/// only on the *slice count* (a bitstream parameter), the output is
+/// bit-exact for any thread count.
+///
+/// # Errors
+///
+/// [`CodecError::SliceTaskPanicked`] when a slice task panicked.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_vop<M: ParallelModel>(
     mem: &mut M,
@@ -944,8 +910,7 @@ pub(crate) fn encode_vop<M: ParallelModel>(
     four_mv: bool,
     pool: &WorkerPool,
     sched: Scheduling,
-) -> (Vec<u8>, VopStats) {
-    let mut stats = VopStats::default();
+) -> Result<(Vec<u8>, VopStats), CodecError> {
     let mut w = BitWriter::new();
     let mut charge = StreamCharge::writer(stream_base);
 
@@ -966,49 +931,6 @@ pub(crate) fn encode_vop<M: ParallelModel>(
     if let Some((a, b)) = alpha {
         span!(mem, Phase::Shape, encode_alpha_plane(mem, a, b, &mut w));
     }
-
-    if header.slices == 1 {
-        // Unsliced: code straight into the header's writer (the legacy
-        // single-threaded layout — no alignment between header and MBs).
-        charge.charge_to(mem, w.bit_len());
-        span!(
-            mem,
-            Phase::Slice,
-            encode_slice(
-                mem,
-                &header,
-                cur,
-                alpha,
-                fwd,
-                bwd,
-                recon,
-                &mut scratch[0],
-                search,
-                mbx_range,
-                mby_range,
-                0,
-                four_mv,
-                &mut w,
-                &mut charge,
-                &mut stats,
-            )
-        );
-        if let Some(bbox) = bbox {
-            fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
-        }
-        w.stuff_to_alignment();
-        charge.charge_to(mem, w.bit_len());
-        stats.bits = w.bit_len();
-        return (w.into_bytes(), stats);
-    }
-
-    // Sliced: the header segment ends byte-aligned so every slice
-    // segment starts and ends on a byte boundary and concatenates
-    // without bit-shifting.
-    w.stuff_to_alignment();
-    charge.charge_to(mem, w.bit_len());
-    let header_bits = w.bit_len();
-
     let ctx = SliceCtx {
         hdr: header,
         cur,
@@ -1016,45 +938,72 @@ pub(crate) fn encode_vop<M: ParallelModel>(
         fwd,
         bwd,
         search,
-        mbx_range: mbx_range.clone(),
+        mbx_range,
         four_mv,
     };
-    let views = recon.split_mb_rows_mut(&slice_rows);
-    let chains = build_slice_chains(
-        mem,
-        &ctx,
-        &slice_rows,
-        views,
-        scratch,
-        mby_range.start,
-        stream_base,
-        sched,
-    );
-    let slots = run_slice_chains(pool, &ctx, chains);
 
+    if header.slices == 1 {
+        // Unsliced: code straight into the header's writer (the legacy
+        // single-threaded layout — no alignment between header and MBs).
+        charge.charge_to(mem, w.bit_len());
+        let mut slice = EncodeSlice::new(&ctx, recon, &mut scratch[0], w, charge, 0, 0);
+        span!(
+            mem,
+            Phase::Slice,
+            step_rows(&mut slice, mem, mby_range.clone(), mby_range.start)
+        )?;
+        let EncodeSlice {
+            mut w,
+            mut charge,
+            mut stats,
+            ..
+        } = slice;
+        if let Some(bbox) = bbox {
+            fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
+        }
+        w.stuff_to_alignment();
+        charge.charge_to(mem, w.bit_len());
+        stats.bits = w.bit_len();
+        return Ok((w.into_bytes(), stats));
+    }
+
+    // Sliced: the header segment ends byte-aligned so every slice
+    // segment starts and ends on a byte boundary and concatenates
+    // without bit-shifting. Each slice gets a fresh segment with its own
+    // charge window.
+    w.stuff_to_alignment();
+    charge.charge_to(mem, w.bit_len());
+    let mut stats = VopStats {
+        bits: w.bit_len(),
+        ..VopStats::default()
+    };
     let mut bytes = w.into_bytes();
-    for slot in slots {
-        let (sbytes, sstats, smem) = slot
-            .into_inner()
-            .expect("slice slot lock")
-            .expect("scope waits for every slice chain");
-        let child_total = *smem.counters();
-        mem.absorb(smem);
-        // Keep the caller's open phase from double-counting the jump
-        // `absorb` just folded in (the slices' own domain spans carry
-        // those counters, phase by phase).
-        m4ps_obs::absorbed(&child_total);
+    let mut views = recon.split_mb_rows_mut(&slice_rows);
+    let slices = slice_rows
+        .iter()
+        .zip(&mut views)
+        .zip(scratch.iter_mut())
+        .enumerate()
+        .map(|(s, ((rows, view), sc))| {
+            let mbs = ctx.mbx_range.len();
+            let first_mb = (rows.start - mby_range.start) * mbs;
+            let w = BitWriter::with_capacity(rows.len() * mbs * 32 + 64);
+            let charge = StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN);
+            let slice = EncodeSlice::new(&ctx, view, sc, w, charge, s, first_mb);
+            (rows.clone(), slice)
+        });
+    run_row_chains(mem, pool, sched, slices, |(sbytes, sstats)| {
         stats.merge(&sstats);
         bytes.extend_from_slice(&sbytes);
-    }
-    stats.bits += header_bits;
+    })?;
+    drop(views);
     if let Some(bbox) = bbox {
         fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
     }
-    (bytes, stats)
+    Ok((bytes, stats))
 }
 
-/// Read-shared context for one VOP's slice tasks.
+/// Read-shared context for one VOP's slices.
 struct SliceCtx<'a> {
     hdr: VopHeader,
     cur: &'a TracedFrame,
@@ -1066,257 +1015,104 @@ struct SliceCtx<'a> {
     four_mv: bool,
 }
 
-/// Everything a slice's row chain carries from one task to the next:
-/// the forked counter stream, the slice's writer and charge window,
-/// its reconstruction band and recycled scratch, and the row cursor.
-/// Moving the whole state along the chain is what pins determinism —
-/// each fork sees exactly the access sequence the coarse slice job
-/// produced, just cut into one task per `grain` rows.
-struct SliceChain<'a, M> {
-    smem: M,
-    view: FrameViewMut<'a>,
+/// One slice of a VOP as the encoder codes it: its reconstruction rows,
+/// recycled scratch, writer, charge window and statistics, and the
+/// macroblock counter for resync markers. A single-slice VOP runs it on
+/// the caller's writer and window; a slice chain on its own segment.
+struct EncodeSlice<'a, F> {
+    ctx: &'a SliceCtx<'a>,
+    recon: &'a mut F,
     scratch: &'a mut SliceScratch,
     w: BitWriter,
     charge: StreamCharge,
     stats: VopStats,
     slice_index: usize,
-    rows: Range<usize>,
-    next_row: usize,
+    /// VOP-wide index of the slice's first macroblock. The in-slice
+    /// counter starts there so resynchronization markers keep their
+    /// absolute indices, and the `> first_mb` guard keeps a marker off
+    /// the slice's first macroblock (the slice header already is one).
     first_mb: usize,
     mb_counter: usize,
-    grain: usize,
 }
 
-/// A finished slice: bitstream segment, stats, forked model to absorb.
-type SliceOut<M> = (Vec<u8>, VopStats, M);
-
-/// Builds the per-slice chain states for one VOP. Forks happen here,
-/// sequentially on the coordinator, so every slice starts from an
-/// identical memory-model snapshot regardless of scheduling. Each slice
-/// gets a fresh byte-aligned segment with its own charge window.
-#[allow(clippy::too_many_arguments)]
-fn build_slice_chains<'a, M: ParallelModel>(
-    mem: &mut M,
-    ctx: &SliceCtx<'a>,
-    slice_rows: &[Range<usize>],
-    views: Vec<FrameViewMut<'a>>,
-    scratch: &'a mut [SliceScratch],
-    mby_start: usize,
-    stream_base: u64,
-    sched: Scheduling,
-) -> Vec<SliceChain<'a, M>> {
-    let grain = sched.grain();
-    slice_rows
-        .iter()
-        .cloned()
-        .zip(views)
-        .zip(scratch.iter_mut())
-        .enumerate()
-        .map(|(s, ((rows, view), sc))| {
-            let first_mb = (rows.start - mby_start) * ctx.mbx_range.len();
-            let cap = rows.len() * ctx.mbx_range.len() * 32 + 64;
-            SliceChain {
-                smem: mem.fork(),
-                view,
-                scratch: sc,
-                w: BitWriter::with_capacity(cap),
-                charge: StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
-                stats: VopStats::default(),
-                slice_index: s,
-                next_row: rows.start,
-                first_mb,
-                mb_counter: first_mb,
-                rows,
-                grain,
-            }
-        })
-        .collect()
-}
-
-/// Spawns every chain's first task into one pool scope and returns the
-/// per-slice result slots (in slice order) once all chains finished.
-fn run_slice_chains<'a, M: ParallelModel + 'a>(
-    pool: &WorkerPool,
-    ctx: &SliceCtx<'a>,
-    mut chains: Vec<SliceChain<'a, M>>,
-) -> Vec<Mutex<Option<SliceOut<M>>>> {
-    let slots: Vec<Mutex<Option<SliceOut<M>>>> = chains.iter().map(|_| Mutex::new(None)).collect();
-    let session = m4ps_obs::current();
-    pool.scope(session.as_ref(), |scope| {
-        for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-            scope.spawn(move |s| slice_chain_step(chain, ctx, slot, s));
-        }
-    });
-    slots
-}
-
-/// One task of a slice's row chain: encodes up to `grain` macroblock
-/// rows, then either spawns the continuation (the wavefront "row N+1
-/// ready" edge) or finalizes the slice into its result slot.
-fn slice_chain_step<'s, M: ParallelModel + 's>(
-    mut st: SliceChain<'s, M>,
-    ctx: &'s SliceCtx<'s>,
-    slot: &'s Mutex<Option<SliceOut<M>>>,
-    scope: &Scope<'s>,
-) {
-    // A *domain* span: this task charges the forked stream `st.smem`,
-    // not the caller's model, so its delta must not be subtracted from
-    // the lexical parent phase (the coordinator accounts for it via
-    // `absorbed` instead). Spans are per task, so each worker's span
-    // stack stays balanced; the per-pair deltas sum to the fork total.
-    let obs_on = m4ps_obs::enabled();
-    if obs_on {
-        m4ps_obs::enter_domain(Phase::Slice, *st.smem.counters());
-    }
-    if st.next_row == st.rows.start {
-        if st.slice_index > 0 {
-            // Slice header: the resync word, the index of the slice's
-            // first macroblock, and the quantizer.
-            let before = st.w.bit_len();
-            st.w.put_bits(u32::from(RESYNC_MARKER), 16);
-            put_ue(&mut st.w, st.first_mb as u32);
-            st.w.put_bits(u32::from(ctx.hdr.qp), 5);
-            m4ps_obs::counter_add(
-                MetricId::ResyncMarkerBytes,
-                (st.w.bit_len() - before).div_ceil(8),
-            );
-        }
-        // Recycled predictors start from reset — the same state a
-        // fresh `MvPredictor::new` carries.
-        st.scratch.fwd_pred.reset();
-        st.scratch.bwd_pred.reset();
-    }
-    let stop = st.next_row.saturating_add(st.grain).min(st.rows.end);
-    while st.next_row < stop {
-        encode_slice_row(
-            &mut st.smem,
-            &ctx.hdr,
-            ctx.cur,
-            ctx.alpha,
-            ctx.fwd,
-            ctx.bwd,
-            &mut st.view,
-            st.scratch,
-            ctx.search,
-            ctx.mbx_range.clone(),
-            st.next_row,
-            st.first_mb,
-            &mut st.mb_counter,
-            ctx.four_mv,
-            &mut st.w,
-            &mut st.charge,
-            &mut st.stats,
-        );
-        st.next_row += 1;
-    }
-    if st.next_row < st.rows.end {
-        if obs_on {
-            m4ps_obs::exit_domain(Phase::Slice, *st.smem.counters());
-        }
-        scope.spawn(move |s| slice_chain_step(st, ctx, slot, s));
-    } else {
-        st.w.stuff_to_alignment();
-        st.charge.charge_to(&mut st.smem, st.w.bit_len());
-        st.stats.bits = st.w.bit_len();
-        if obs_on {
-            m4ps_obs::exit_domain(Phase::Slice, *st.smem.counters());
-        }
-        *slot.lock().expect("slice slot lock") = Some((st.w.into_bytes(), st.stats, st.smem));
-    }
-}
-
-/// Encodes one slice — the macroblock rows `rows` of the VOP — into `w`.
-///
-/// `first_mb` is the VOP-wide index of the slice's first macroblock;
-/// the in-slice counter starts there so resynchronization markers keep
-/// their absolute indices, and the `> first_mb` guard keeps a marker off
-/// the slice's first macroblock (the slice header already is one).
-/// Prediction state starts from reset, exactly as after a resync marker,
-/// so no prediction crosses a slice boundary.
-#[allow(clippy::too_many_arguments)]
-fn encode_slice<M: MemModel, F: FrameSink>(
-    mem: &mut M,
-    header: &VopHeader,
-    cur: &TracedFrame,
-    alpha: Option<(&TracedPlane, Bbox)>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut F,
-    scratch: &mut SliceScratch,
-    search: &MotionSearch,
-    mbx_range: Range<usize>,
-    rows: Range<usize>,
-    first_mb: usize,
-    four_mv: bool,
-    w: &mut BitWriter,
-    charge: &mut StreamCharge,
-    stats: &mut VopStats,
-) {
-    // Recycled predictors start from reset — the same state a fresh
-    // `MvPredictor::new` carries, as pinned by the parallel tests.
-    scratch.fwd_pred.reset();
-    scratch.bwd_pred.reset();
-    let mut mb_counter = first_mb;
-    for mby in rows {
-        encode_slice_row(
-            mem,
-            header,
-            cur,
-            alpha,
-            fwd,
-            bwd,
+impl<'a, F> EncodeSlice<'a, F> {
+    fn new(
+        ctx: &'a SliceCtx<'a>,
+        recon: &'a mut F,
+        scratch: &'a mut SliceScratch,
+        w: BitWriter,
+        charge: StreamCharge,
+        slice_index: usize,
+        first_mb: usize,
+    ) -> Self {
+        EncodeSlice {
+            ctx,
             recon,
             scratch,
-            search,
-            mbx_range.clone(),
-            mby,
+            w,
+            charge,
+            stats: VopStats::default(),
+            slice_index,
             first_mb,
-            &mut mb_counter,
-            four_mv,
+            mb_counter: first_mb,
+        }
+    }
+}
+
+impl<M: MemModel, F: FrameSink> SliceBody<M> for EncodeSlice<'_, F> {
+    const PHASE: Phase = Phase::Slice;
+    /// The slice's byte-aligned bitstream segment and its statistics.
+    type Out = (Vec<u8>, VopStats);
+
+    /// Encodes one macroblock row — the wavefront task granule. All
+    /// state that crosses row boundaries within a slice (the MV
+    /// predictors' row window, the macroblock counter for resync
+    /// markers, the bit position) lives in the slice. Prediction state
+    /// starts from reset on the first row, exactly as after a resync
+    /// marker, so no prediction crosses a slice boundary.
+    fn step(&mut self, mem: &mut M, mby: usize, first: bool) -> Result<(), CodecError> {
+        let EncodeSlice {
+            ctx,
+            recon,
+            scratch,
             w,
             charge,
             stats,
-        );
-    }
-}
-
-/// Encodes one macroblock row of a slice. This is the wavefront task
-/// granule: all state that crosses row boundaries within a slice (the
-/// MV predictors' row window, the macroblock counter for resync
-/// markers, the bit position) arrives via `scratch`/`mb_counter`/`w`,
-/// carried along the slice's task chain.
-#[allow(clippy::too_many_arguments)]
-fn encode_slice_row<M: MemModel, F: FrameSink>(
-    mem: &mut M,
-    header: &VopHeader,
-    cur: &TracedFrame,
-    alpha: Option<(&TracedPlane, Bbox)>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut F,
-    scratch: &mut SliceScratch,
-    search: &MotionSearch,
-    mbx_range: Range<usize>,
-    mby: usize,
-    first_mb: usize,
-    mb_counter: &mut usize,
-    four_mv: bool,
-    w: &mut BitWriter,
-    charge: &mut StreamCharge,
-    stats: &mut VopStats,
-) {
-    let qp = header.qp;
-    let SliceScratch {
-        texture,
-        fwd_pred,
-        bwd_pred,
-        me_charges,
-    } = scratch;
-    {
+            slice_index,
+            first_mb,
+            mb_counter,
+        } = self;
+        let (header, recon, first_mb) = (&ctx.hdr, &mut **recon, *first_mb);
+        let qp = header.qp;
+        let SliceScratch {
+            texture,
+            fwd_pred,
+            bwd_pred,
+            me_charges,
+        } = &mut **scratch;
+        if first {
+            if *slice_index > 0 {
+                // Slice header: the resync word, the index of the slice's
+                // first macroblock, and the quantizer.
+                let before = w.bit_len();
+                w.put_bits(u32::from(RESYNC_MARKER), 16);
+                put_ue(w, first_mb as u32);
+                w.put_bits(u32::from(qp), 5);
+                m4ps_obs::counter_add(
+                    MetricId::ResyncMarkerBytes,
+                    (w.bit_len() - before).div_ceil(8),
+                );
+            }
+            // Recycled predictors start from reset — the same state a
+            // fresh `MvPredictor::new` carries, as pinned by the
+            // parallel tests.
+            fwd_pred.reset();
+            bwd_pred.reset();
+        }
         fwd_pred.start_row();
         bwd_pred.start_row();
         let mut ips = IntraPredState::reset();
-        for mbx in mbx_range.clone() {
+        for mbx in ctx.mbx_range.clone() {
             if let Some(interval) = header.resync_interval {
                 if *mb_counter > first_mb && mb_counter.is_multiple_of(interval) {
                     // Resynchronization point: byte-aligned marker, the
@@ -1337,7 +1133,7 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
                 }
             }
             *mb_counter += 1;
-            let transparent = match alpha {
+            let transparent = match ctx.alpha {
                 Some((a, _)) => span!(
                     mem,
                     Phase::Shape,
@@ -1362,30 +1158,53 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
                     span!(
                         mem,
                         Phase::DctQuant,
-                        encode_intra_mb(mem, cur, recon, texture, qp, mbx, mby, &mut ips, w)
+                        encode_intra_mb(mem, ctx.cur, recon, texture, qp, mbx, mby, &mut ips, w)
                     );
                     stats.intra_mbs += 1;
                     fwd_pred.commit(mbx, MotionVector::ZERO);
                 }
                 VopKind::P => {
-                    let reference = fwd.expect("P-VOP requires a forward reference");
+                    let reference = ctx.fwd.expect("P-VOP requires a forward reference");
                     encode_p_mb(
-                        mem, cur, reference, recon, texture, me_charges, search, qp, mbx, mby,
-                        &mut ips, fwd_pred, w, stats, four_mv,
+                        mem,
+                        ctx.cur,
+                        reference,
+                        recon,
+                        texture,
+                        me_charges,
+                        ctx.search,
+                        qp,
+                        mbx,
+                        mby,
+                        &mut ips,
+                        fwd_pred,
+                        w,
+                        stats,
+                        ctx.four_mv,
                     );
                 }
                 VopKind::B => {
-                    let f = fwd.expect("B-VOP requires a forward reference");
-                    let b = bwd.expect("B-VOP requires a backward reference");
+                    let f = ctx.fwd.expect("B-VOP requires a forward reference");
+                    let b = ctx.bwd.expect("B-VOP requires a backward reference");
                     encode_b_mb(
-                        mem, cur, f, b, recon, texture, me_charges, search, qp, mbx, mby, fwd_pred,
-                        bwd_pred, w, stats,
+                        mem, ctx.cur, f, b, recon, texture, me_charges, ctx.search, qp, mbx, mby,
+                        fwd_pred, bwd_pred, w, stats,
                     );
                     ips = IntraPredState::reset();
                 }
             }
             charge.charge_to(mem, w.bit_len());
         }
+        Ok(())
+    }
+
+    /// Stuffs the segment to a byte boundary, charges its last bytes and
+    /// returns it with the slice's statistics.
+    fn finish(&mut self, mem: &mut M) -> Self::Out {
+        self.w.stuff_to_alignment();
+        self.charge.charge_to(mem, self.w.bit_len());
+        self.stats.bits = self.w.bit_len();
+        (std::mem::take(&mut self.w).into_bytes(), self.stats)
     }
 }
 

@@ -19,6 +19,10 @@ pub enum CodecError {
     InvalidStream(&'static str),
     /// A configuration parameter is out of its legal range.
     InvalidConfig(&'static str),
+    /// A slice task panicked; the slice-parallel executor caught the
+    /// panic at the task boundary, so the pool and the other slices of
+    /// the VOP are unaffected.
+    SliceTaskPanicked,
 }
 
 impl fmt::Display for CodecError {
@@ -32,6 +36,7 @@ impl fmt::Display for CodecError {
             ),
             CodecError::InvalidStream(msg) => write!(f, "invalid stream: {msg}"),
             CodecError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CodecError::SliceTaskPanicked => write!(f, "slice task panicked"),
         }
     }
 }

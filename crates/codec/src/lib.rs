@@ -74,9 +74,7 @@ mod vlc;
 pub use arith::{ArithDecoder, ArithEncoder, ContextModel};
 pub use config::{EncoderConfig, GopStructure, SearchStrategy};
 pub use decoder::{DecodedVop, VideoObjectDecoder};
-pub use encoder::{
-    EncodedVop, FrameView, ReconPlanes, Scheduling, VideoObjectCoder, VopStats, SCHED_ENV,
-};
+pub use encoder::{EncodedVop, FrameView, ReconPlanes, VideoObjectCoder, VopStats};
 pub use error::CodecError;
 pub use header::{VolHeader, VopHeader, MAX_DIMENSION};
 pub use mc::motion_compensate_block;
@@ -85,6 +83,7 @@ pub use plane::{FrameViewMut, PlaneViewMut, TracedFrame, TracedPlane, PAD};
 pub use rate::RateController;
 pub use scene_session::{SceneDecoder, SceneEncoder, SessionStats};
 pub use shape::{decode_alpha_plane, encode_alpha_plane, BabClass};
+pub use slices::{Scheduling, SCHED_ENV};
 pub use texture::{QuantizedBlock, TextureCoder};
 pub use types::{MacroblockKind, MotionVector, VopKind};
 pub use vlc::{get_se, get_ue, put_se, put_ue};

@@ -324,10 +324,11 @@ fn dump_path(explicit: Option<&str>) -> Option<String> {
 }
 
 /// Best-effort flight-recorder export; a failed write must not fail
-/// the study.
+/// the study. Every study of a process that shares one dump path keeps
+/// its own dump (see [`m4ps_obs::Dump::write_numbered`]).
 fn write_dump_if_requested(recorder: Option<&m4ps_obs::Recorder>, path: Option<&str>) {
     if let (Some(rec), Some(path)) = (recorder, path) {
-        if let Err(e) = rec.snapshot().write(path) {
+        if let Err(e) = rec.snapshot().write_numbered(path) {
             eprintln!("m4ps: could not write flight dump to {path}: {e}");
         }
     }

@@ -171,3 +171,41 @@ fn traced_decode_spans_match_profile_entries() {
     let vops = spans.iter().filter(|(n, ..)| n == "vop.decode").count();
     assert!(vops >= 3, "expected >=3 vop.decode spans, got {vops}");
 }
+
+/// Number of `run` spans in the Chrome trace next to the dump at `path`;
+/// removes the dump and its trace.
+fn run_spans_and_remove(path: &str) -> usize {
+    let trace_path = Dump::trace_path(path);
+    let jsonl = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(&trace_path).ok();
+    Dump::from_jsonl(&jsonl).expect("dump parses");
+    let doc = Json::parse(&text).expect("trace file is valid JSON");
+    doc.get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|ev| {
+            ev.get("ph").and_then(Json::as_str) == Some("X")
+                && ev.get("name").and_then(Json::as_str) == Some("run")
+        })
+        .count()
+}
+
+#[test]
+fn studies_sharing_a_dump_path_each_keep_their_dump() {
+    let path = std::env::temp_dir().join(format!(
+        "m4ps_trace_export_repeat_{}.jsonl",
+        std::process::id()
+    ));
+    let path_str = path.to_str().unwrap().to_string();
+    let cfg = StudyConfig::fast().with_dump(&path_str);
+    for _ in 0..2 {
+        encode_study(&MachineSpec::o2(), &workload(), &cfg).unwrap();
+    }
+    // The first study keeps the path; the second writes `<stem>.1.jsonl`.
+    for dump in [path_str.clone(), Dump::repeat_path(&path_str, 1)] {
+        assert_eq!(run_spans_and_remove(&dump), 1, "{dump}: one run span");
+    }
+}

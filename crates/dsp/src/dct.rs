@@ -28,11 +28,6 @@ impl Default for CoefBlock {
 }
 
 impl CoefBlock {
-    /// Creates a coefficient block from row-major values.
-    pub fn from_coefs(data: [i16; 64]) -> Self {
-        CoefBlock { data }
-    }
-
     /// The DC (0,0) coefficient.
     pub fn dc(&self) -> i16 {
         self.data[0]

@@ -38,15 +38,6 @@ impl<T: Copy + Default> SimBuf<T> {
         }
     }
 
-    /// Wraps existing data, allocating a simulated address for it.
-    pub fn from_vec(space: &mut AddressSpace, data: Vec<T>) -> Self {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        SimBuf {
-            base: space.alloc(bytes),
-            data,
-        }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()

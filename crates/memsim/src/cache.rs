@@ -111,11 +111,6 @@ impl Cache {
         self.stats
     }
 
-    /// Line-aligns an address.
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.config.line_bytes - 1)
-    }
-
     /// Probes (and on miss, allocates) the line containing `addr`.
     /// `write` marks the line dirty on hit or after allocation.
     pub fn probe(&mut self, addr: u64, write: bool) -> ProbeResult {

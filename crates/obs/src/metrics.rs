@@ -341,16 +341,6 @@ impl Registry {
         }
     }
 
-    pub(crate) fn gauge_value(&self, id: MetricId) -> u64 {
-        debug_assert_eq!(id.kind(), MetricKind::Gauge, "{id:?} is not a gauge");
-        match id {
-            MetricId::PoolWorkers => self.pool_workers.load(Ordering::Relaxed),
-            MetricId::KernelTier => self.kernel_tier.load(Ordering::Relaxed),
-            MetricId::ServeSessionsActive => self.serve_sessions_active.load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
     pub(crate) fn histogram_record(&self, id: MetricId, v: u64) {
         debug_assert_eq!(
             id.kind(),

@@ -148,11 +148,6 @@ impl Profiler {
         self.shared.metrics.gauge_set(id, v);
     }
 
-    /// Reads a gauge from this session's registry.
-    pub fn metric_gauge_value(&self, id: MetricId) -> u64 {
-        self.shared.metrics.gauge_value(id)
-    }
-
     /// Records one histogram observation in this session's registry
     /// directly (see [`Profiler::metric_counter_add`]).
     pub fn metric_histogram_record(&self, id: MetricId, v: u64) {

@@ -32,6 +32,7 @@
 //! encode overhead is gated in CI at ≤ 8% next to the profiler's ≤ 8%.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
@@ -280,11 +281,6 @@ impl Recorder {
     /// Per-thread ring capacity in events.
     pub fn capacity(&self) -> usize {
         self.shared.capacity
-    }
-
-    /// Whether `other` is a handle to the same recorder.
-    pub fn same_recorder(&self, other: &Recorder) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
     }
 
     /// Sets the free-form label the recorder's dumps carry (a study
@@ -714,6 +710,39 @@ impl Dump {
         let trace_path = Dump::trace_path(path);
         std::fs::write(&trace_path, self.to_chrome_trace().pretty())?;
         Ok(trace_path)
+    }
+
+    /// Like [`Dump::write`], but never over a dump this process already
+    /// wrote to `path`: the first dump to a path keeps it, and the k-th
+    /// later one goes to [`Dump::repeat_path`]`(path, k)`. A run of many
+    /// studies with one dump path so keeps every study's dump. Returns
+    /// the dump path written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying filesystem error.
+    pub fn write_numbered(&self, path: &str) -> std::io::Result<String> {
+        static WRITTEN: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
+        let k = {
+            let mut written = WRITTEN.lock().expect("dump path registry");
+            let count = written.entry(path.to_owned()).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        let path = Dump::repeat_path(path, k);
+        self.write(&path)?;
+        Ok(path)
+    }
+
+    /// Where the k-th repeat dump to `path` goes: `path` itself for
+    /// `k = 0`, else `<path stem>.<k>.jsonl` (`run.jsonl` →
+    /// `run.1.jsonl`, whose trace is `run.1.trace.json`).
+    pub fn repeat_path(path: &str, k: usize) -> String {
+        match (k, path.strip_suffix(".jsonl")) {
+            (0, _) => path.to_owned(),
+            (_, Some(stem)) => format!("{stem}.{k}.jsonl"),
+            (_, None) => format!("{path}.{k}"),
+        }
     }
 
     /// Where [`Dump::write`] puts the Chrome trace for a dump written
