@@ -60,9 +60,11 @@ fn bench_simd_tiers(r: &mut BenchRunner) {
     }
     let coefs = forward_dct(&b);
     let levels = quantize_intra(&coefs, 8);
+    let search = FullSearchRow::new();
     for tier in m4ps_dsp::supported_tiers() {
         let k = Kernels::for_tier(tier).expect("supported tier has a table");
         let t = tier.name();
+        search.bench(r, tier);
         r.bench_bytes(&format!("simd/sad_16x16/tier={t}"), 512, || {
             (k.sad16)(black_box(&cur), 64, 8, 8, black_box(&reference), 64, 9, 8)
         });
@@ -130,6 +132,70 @@ fn bench_simd_tiers(r: &mut BenchRunner) {
         r.bench(&format!("simd/dequant_inter/tier={t}"), || {
             (k.dequant_inter)(black_box(&levels), 8)
         });
+    }
+}
+
+/// One PAL macroblock row of the paper's motion search (±8 full search
+/// with half-pel refinement) on `NullModel`: the search the codec runs
+/// per P-VOP macroblock, with the row-group SAD of the forced tier.
+struct FullSearchRow {
+    cur: m4ps_codec::TracedPlane,
+    reference: m4ps_codec::TracedPlane,
+    search: m4ps_codec::MotionSearch,
+}
+
+impl FullSearchRow {
+    /// The row's macroblock row index (mid-frame).
+    const MBY: usize = 18;
+
+    fn new() -> Self {
+        use m4ps_codec::{MotionSearch, SearchStrategy, TracedPlane};
+        use m4ps_memsim::NullModel;
+        use m4ps_vidgen::{Resolution, Scene, SceneSpec};
+
+        let res = Resolution::PAL;
+        let scene = Scene::new(SceneSpec {
+            resolution: res,
+            objects: 3,
+            seed: 0x4d50_4547,
+        });
+        let mut space = AddressSpace::new();
+        let mut null = NullModel::new();
+        let mut plane = |t: usize| {
+            let mut p = TracedPlane::new(&mut space, res.width, res.height);
+            p.copy_from(&mut null, &scene.frame(t).y, false);
+            p.pad_borders(&mut null);
+            p
+        };
+        let (reference, cur) = (plane(0), plane(1));
+        FullSearchRow {
+            cur,
+            reference,
+            search: MotionSearch::new(SearchStrategy::FullSearch, 8, true),
+        }
+    }
+
+    /// Benches the row with `tier` forced, restoring the active tier.
+    fn bench(&self, r: &mut BenchRunner, tier: m4ps_dsp::KernelTier) {
+        let mut null = m4ps_memsim::NullModel::new();
+        let mbs = self.cur.width() / 16;
+        let previous = m4ps_dsp::force_tier(tier);
+        // Each MB compares its 16x16 block against a 32x32 window.
+        r.bench_bytes(
+            &format!("simd/full_search_16/tier={}", tier.name()),
+            (mbs * (256 + 32 * 32)) as u64,
+            || {
+                let mut sad = 0u32;
+                for mbx in 0..mbs {
+                    sad += self
+                        .search
+                        .search(&mut null, &self.cur, &self.reference, mbx, Self::MBY)
+                        .sad;
+                }
+                sad
+            },
+        );
+        m4ps_dsp::force_tier(previous);
     }
 }
 
@@ -509,12 +575,21 @@ fn bench_parallel_decode(r: &mut BenchRunner) {
 
 fn bench_obs_overhead(r: &mut BenchRunner) {
     use m4ps_memsim::NullModel;
+    use m4ps_obs::Profiler;
     use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
     // The same P-frame encode with and without an installed profiler
-    // session. With no session, spans cost one atomic load each; with
+    // session (with no session, spans cost one atomic load each; with
     // one, every span snapshots the counters twice and does ~40 word
-    // ops. bench_compare gates obs=on against obs=off (<8% overhead).
+    // ops), and with the session held constant and the flight recorder
+    // toggled. bench_compare gates each `on` entry against its
+    // `off` entry (<8% overhead), so each pair runs as one interleaved
+    // series: the two sides sample alternately in one process and share
+    // whatever the machine does meanwhile, and the gate reads the
+    // median per-pair ratio. Both sides drive one coder, so they also
+    // share its memory layout. Each profiled frame attaches its session
+    // for the frame (attach and the detach merge are part of what it
+    // pays).
     let res = Resolution::PAL;
     let scene = Scene::new(SceneSpec {
         resolution: res,
@@ -540,51 +615,54 @@ fn bench_obs_overhead(r: &mut BenchRunner) {
     }
     .with_slices(4);
     let bytes = (res.width * res.height * 3 / 2) as u64;
-    for profiled in [false, true] {
+    // A single-threaded coder primed with the I-VOP, so every measured
+    // frame is a P-VOP.
+    let coder = || {
         let mut space = AddressSpace::new();
-        let mut mem = NullModel::new();
         let mut coder = VideoObjectCoder::new(&mut space, res.width, res.height, config).unwrap();
         coder.set_threads(1);
         coder
-            .encode_frame(&mut mem, &view(&frames[0]), None)
+            .encode_frame(&mut NullModel::new(), &view(&frames[0]), None)
             .unwrap();
-        let profiler = profiled.then(|| m4ps_obs::Profiler::new(false));
-        let _guard = profiler.as_ref().map(m4ps_obs::Profiler::attach);
-        let label = if profiled { "on" } else { "off" };
-        r.bench_bytes(&format!("parallel/encode_frame/obs={label}"), bytes, || {
-            coder
-                .encode_frame(&mut mem, &view(&frames[1]), None)
-                .unwrap()
-                .len()
-        });
-    }
+        std::cell::RefCell::new(coder)
+    };
+    // One P-frame encode, under `session` when there is one.
+    let encode = |coder: &std::cell::RefCell<VideoObjectCoder>, session: Option<&Profiler>| {
+        let _guard = session.map(Profiler::attach);
+        coder
+            .borrow_mut()
+            .encode_frame(&mut NullModel::new(), &view(&frames[1]), None)
+            .unwrap()
+            .len()
+    };
 
-    // The same encode with the profiler session held constant and the
-    // flight recorder toggled: with one installed, every coarse phase
-    // span appends a 40-byte event to the thread's ring. bench_compare
-    // gates rec=on against rec=off (<8% overhead).
-    for recorded in [false, true] {
-        let mut space = AddressSpace::new();
-        let mut mem = NullModel::new();
-        let mut coder = VideoObjectCoder::new(&mut space, res.width, res.height, config).unwrap();
-        coder.set_threads(1);
-        coder
-            .encode_frame(&mut mem, &view(&frames[0]), None)
-            .unwrap();
-        let profiler = m4ps_obs::Profiler::new(false);
-        let recorder = recorded.then(|| m4ps_obs::Recorder::new(0));
-        if let Some(rec) = &recorder {
-            profiler.set_recorder(rec);
-        }
-        let _guard = profiler.attach();
-        let label = if recorded { "on" } else { "off" };
-        r.bench_bytes(&format!("parallel/encode_frame/rec={label}"), bytes, || {
-            coder
-                .encode_frame(&mut mem, &view(&frames[1]), None)
-                .unwrap()
-                .len()
-        });
-    }
+    let shared = coder();
+    let profiler = Profiler::new(false);
+    r.bench_interleaved(
+        [
+            "parallel/encode_frame/obs=off",
+            "parallel/encode_frame/obs=on",
+        ],
+        bytes,
+        || encode(&shared, None),
+        || encode(&shared, Some(&profiler)),
+    );
+
+    // With a recorder installed, every coarse phase span also appends
+    // a 40-byte event to the thread's ring.
+    let shared = coder();
+    let (plain, recorded) = (Profiler::new(false), Profiler::new(false));
+    let recorder = m4ps_obs::Recorder::new(0);
+    recorded.set_recorder(&recorder);
+    r.bench_interleaved(
+        [
+            "parallel/encode_frame/rec=off",
+            "parallel/encode_frame/rec=on",
+        ],
+        bytes,
+        || encode(&shared, Some(&plain)),
+        || encode(&shared, Some(&recorded)),
+    );
 }
 
 fn bench_serve(r: &mut BenchRunner) {

@@ -8,10 +8,20 @@
 //! searching an image subset yields high locality." The default here is
 //! that exhaustive full search with SAD early termination; three-step
 //! and diamond searches exist for the ablation benches.
+//!
+//! The host exploits that one-pixel offset: the full search scores each
+//! row of candidates in runs of up to 16 with the dsp row-group SAD,
+//! then walks the run candidate by candidate, reading each one's sum and
+//! visited rows at the cutoff in force when the walk reaches it. That is
+//! exactly what one early-terminating SAD per candidate gives, so the
+//! simulated machine is charged the same per-candidate, row-by-row
+//! search. The other searches and the half-pel refinement score one
+//! candidate at a time.
 
 use crate::config::SearchStrategy;
 use crate::plane::{TracedPlane, PAD};
 use crate::types::MotionVector;
+use m4ps_dsp::{row_group_lane, RowGroup, RowSums, ROW_GROUP_LANES};
 use m4ps_memsim::{MemModel, SearchCandidate};
 use m4ps_obs::{span, MetricId, Phase};
 
@@ -67,6 +77,24 @@ impl SearchCharges {
             self.batch.push(candidate);
             self.ops += row_ops * rows as u64;
         }
+    }
+
+    /// The bounds checks [`SearchCharges::candidate`] makes, once for a
+    /// whole full-search run under a model that wants no batches: the
+    /// current block and the first and last of `lanes` adjacent 16×16
+    /// reference blocks from `(rx, ry)`, all 16 rows. Every candidate
+    /// between lies inside the same rows.
+    fn check_run(
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        (bx, by): (isize, isize),
+        (rx, ry): (isize, isize),
+        lanes: usize,
+    ) {
+        assert_eq!(cur.stride(), reference.stride(), "planes differ in stride");
+        cur.rows_addr(bx, by, 16, 16);
+        reference.rows_addr(rx, ry, 16, 16);
+        reference.rows_addr(rx + lanes as isize - 1, ry, 16, 16);
     }
 
     /// Charges everything recorded so far. Called before every profiler
@@ -420,24 +448,16 @@ impl MotionSearch {
         };
 
         match self.strategy {
-            SearchStrategy::FullSearch => {
-                let r = self.range as isize;
-                // Sequential row-major walk of the restricted window,
-                // offset one pixel between candidates (paper §3.2).
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        try_candidate(
-                            mem,
-                            charges,
-                            dx,
-                            dy,
-                            &mut best,
-                            &mut best_sad,
-                            &mut candidates,
-                        );
-                    }
-                }
-            }
+            SearchStrategy::FullSearch => self.full_search(
+                mem,
+                charges,
+                cur,
+                reference,
+                (bx, by),
+                &mut best,
+                &mut best_sad,
+                &mut candidates,
+            ),
             SearchStrategy::ThreeStep => {
                 let mut step = 1isize;
                 while step * 2 <= self.range as isize {
@@ -545,6 +565,85 @@ impl MotionSearch {
             mv: best_mv,
             sad: best_sad,
             candidates,
+        }
+    }
+
+    /// The paper's full search: a sequential row-major walk of the
+    /// restricted window, offset one pixel between candidates (§3.2),
+    /// after the zero vector already scored as `best`.
+    ///
+    /// The host scores each `dy` row in runs of up to
+    /// [`ROW_GROUP_LANES`] adjacent candidates with one row-group SAD
+    /// whose cutoff is the best SAD at the run's start. Within a run the
+    /// best SAD only falls, so every candidate's first row above the
+    /// cutoff in force when the walk reaches it lies within the rows the
+    /// group computed: replaying the candidates in walk order gives
+    /// exactly the `(sum, rows)` of one cutoff SAD per candidate, and
+    /// `charges` records the same candidates, rows and ops in the same
+    /// order. The simulated machine still runs a non-SIMD, row-by-row,
+    /// early-terminating search.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn full_search<M: MemModel>(
+        &self,
+        mem: &mut M,
+        charges: &mut SearchCharges,
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        (bx, by): (isize, isize),
+        best: &mut (isize, isize),
+        best_sad: &mut u32,
+        candidates: &mut u32,
+    ) {
+        let r = self.range as isize;
+        let (cdata, cstride) = cur.raw_surface();
+        let (rdata, rstride) = reference.raw_surface();
+        let p = PAD as isize;
+        let (cx, cy) = ((bx + p) as usize, (by + p) as usize);
+        let row_group = m4ps_dsp::kernels().sad16_row_group;
+        let batched = mem.wants_batches();
+        let mut sums: RowSums = [[0; ROW_GROUP_LANES]; 16];
+        for dy in -r..=r {
+            for dx0 in (-r..=r).step_by(ROW_GROUP_LANES) {
+                let lanes = ((r - dx0 + 1) as usize).min(ROW_GROUP_LANES);
+                // The zero vector was scored first; its lane only rides
+                // along.
+                let masked = (dy == 0 && (dx0..dx0 + lanes as isize).contains(&0))
+                    .then_some((-dx0) as usize);
+                let group = RowGroup {
+                    lanes,
+                    masked,
+                    cutoff: *best_sad,
+                };
+                let (rx, ry) = ((bx + dx0 + p) as usize, (by + dy + p) as usize);
+                let rows = row_group(
+                    cdata, cstride, cx, cy, rdata, rstride, rx, ry, group, &mut sums,
+                );
+                if !batched {
+                    SearchCharges::check_run(cur, reference, (bx, by), (bx + dx0, by + dy), lanes);
+                }
+                for lane in (0..lanes).filter(|&l| masked != Some(l)) {
+                    let dx = dx0 + lane as isize;
+                    *candidates += 1;
+                    let (sad, visited) = row_group_lane(&sums, rows, lane, *best_sad);
+                    if batched {
+                        charges.candidate(
+                            mem,
+                            cur,
+                            reference,
+                            (bx, by, 16),
+                            (bx + dx, by + dy, 16),
+                            visited,
+                            false,
+                            SAD_ROW_OPS,
+                        );
+                    }
+                    if sad < *best_sad {
+                        *best_sad = sad;
+                        *best = (dx, dy);
+                    }
+                }
+            }
         }
     }
 }
@@ -722,6 +821,193 @@ mod tests {
         // And the window overlap must make most of those hits: the whole
         // search window is under 2 KB.
         assert!(c.l1_misses < c.loads / 50);
+    }
+
+    /// Everything a memory model is handed, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Charge {
+        Range(u64, u64, m4ps_memsim::AccessKind, u64),
+        Candidates(Vec<SearchCandidate>),
+        Prefetch(u64),
+        Ops(u64),
+    }
+
+    /// A model that records every charge, so two searches can be
+    /// compared charge for charge.
+    #[derive(Default)]
+    struct Recording {
+        log: Vec<Charge>,
+        counters: m4ps_memsim::Counters,
+    }
+
+    impl MemModel for Recording {
+        fn access_range(
+            &mut self,
+            addr: u64,
+            len: u64,
+            kind: m4ps_memsim::AccessKind,
+            arch_ops: u64,
+        ) {
+            self.log.push(Charge::Range(addr, len, kind, arch_ops));
+        }
+
+        fn access_candidates(&mut self, batch: &[SearchCandidate]) {
+            self.log.push(Charge::Candidates(batch.to_vec()));
+        }
+
+        fn prefetch(&mut self, addr: u64) {
+            self.log.push(Charge::Prefetch(addr));
+        }
+
+        fn add_ops(&mut self, ops: u64) {
+            self.log.push(Charge::Ops(ops));
+        }
+
+        fn counters(&self) -> &m4ps_memsim::Counters {
+            &self.counters
+        }
+    }
+
+    /// The full search as one cutoff SAD per candidate, each charged as
+    /// it is scored, then the half-pel refinement: the oracle the
+    /// row-group walk must reproduce exactly.
+    fn per_candidate_search<M: MemModel>(
+        ms: &MotionSearch,
+        mem: &mut M,
+        cur: &TracedPlane,
+        reference: &TracedPlane,
+        mbx: usize,
+        mby: usize,
+    ) -> SearchOutcome {
+        let mut charges = SearchCharges::default();
+        let charges = &mut charges;
+        let (bx, by) = ((mbx * 16) as isize, (mby * 16) as isize);
+        let mut best_sad =
+            MotionSearch::sad_candidate(mem, charges, cur, reference, bx, by, 0, 0, u32::MAX);
+        let (mut best, mut candidates) = ((0isize, 0isize), 1u32);
+        let r = ms.range as isize;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                if (dx, dy) == (0, 0) {
+                    continue;
+                }
+                candidates += 1;
+                let sad = MotionSearch::sad_candidate(
+                    mem, charges, cur, reference, bx, by, dx, dy, best_sad,
+                );
+                if sad < best_sad {
+                    best_sad = sad;
+                    best = (dx, dy);
+                }
+            }
+        }
+        charges.flush(mem);
+        let mut best_mv = MotionVector::from_full_pel(best.0 as i16, best.1 as i16);
+        if ms.half_pel {
+            let base = best_mv;
+            for dy in -1i16..=1 {
+                for dx in -1i16..=1 {
+                    let cand = MotionVector::new(base.x + dx, base.y + dy);
+                    if (dx, dy) == (0, 0)
+                        || cand.x.abs() >= 2 * ms.range
+                        || cand.y.abs() >= 2 * ms.range
+                    {
+                        continue;
+                    }
+                    candidates += 1;
+                    let sad = MotionSearch::sad_half_pel(
+                        mem, charges, cur, reference, bx, by, cand, best_sad,
+                    );
+                    if sad < best_sad {
+                        best_sad = sad;
+                        best_mv = cand;
+                    }
+                }
+            }
+            charges.flush(mem);
+        }
+        SearchOutcome {
+            mv: best_mv,
+            sad: best_sad,
+            candidates,
+        }
+    }
+
+    /// Planes whose pixels are `f(x, y)`, padded.
+    fn plane_from(
+        space: &mut AddressSpace,
+        mem: &mut NullModel,
+        (w, h): (usize, usize),
+        f: impl Fn(isize, isize) -> u8,
+    ) -> TracedPlane {
+        let mut plane = TracedPlane::new(space, w, h);
+        let data: Vec<u8> = (0..(w * h) as isize)
+            .map(|i| f(i % w as isize, i / w as isize))
+            .collect();
+        plane.copy_from(mem, &data, false);
+        plane.pad_borders(mem);
+        plane
+    }
+
+    /// The row-group full search against the per-candidate oracle on
+    /// every kernel tier, every range, with and without half-pel, at
+    /// every macroblock of a 4×3-MB frame (corners, edges, interior):
+    /// the same outcome and, through a recording model, the same
+    /// candidate batches and ops in the same order. Two content pairs:
+    /// a shifted texture with noise (the best SAD falls during the
+    /// walk, so cutoffs vary candidate by candidate) and unrelated
+    /// noise (late cutoffs).
+    #[test]
+    fn full_search_matches_per_candidate_oracle() {
+        let hash = |x: isize, y: isize, k: isize| -> u8 {
+            let v = ((x * 73_856_093) ^ (y * 19_349_663) ^ (k * 83_492_791)) as u64;
+            (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8
+        };
+        let tex = |x: isize, y: isize| -> u8 {
+            let s = 128.0 + 60.0 * (x as f64 * 0.31).sin() + 50.0 * (y as f64 * 0.27).cos();
+            (s as isize + isize::from(hash(x, y, 1) >> 4)).clamp(0, 255) as u8
+        };
+        let size = (64, 48);
+        let mut space = AddressSpace::new();
+        let mut null = NullModel::new();
+        let pairs = [
+            (
+                plane_from(&mut space, &mut null, size, |x, y| {
+                    tex(x - 3, y + 2).saturating_add(hash(x, y, 2) >> 5)
+                }),
+                plane_from(&mut space, &mut null, size, tex),
+            ),
+            (
+                plane_from(&mut space, &mut null, size, |x, y| hash(x, y, 3)),
+                plane_from(&mut space, &mut null, size, |x, y| hash(x, y, 4)),
+            ),
+        ];
+        let original = m4ps_dsp::active_tier();
+        for tier in m4ps_dsp::supported_tiers() {
+            m4ps_dsp::force_tier(tier);
+            for (cur, reference) in &pairs {
+                for range in 1..=15 {
+                    for half_pel in [false, true] {
+                        let ms = MotionSearch::new(SearchStrategy::FullSearch, range, half_pel);
+                        for (mbx, mby) in (0..4).flat_map(|x| (0..3).map(move |y| (x, y))) {
+                            let at =
+                                format!("{tier:?} range {range} half {half_pel} mb {mbx},{mby}");
+                            let mut want_mem = Recording::default();
+                            let want =
+                                per_candidate_search(&ms, &mut want_mem, cur, reference, mbx, mby);
+                            let mut got_mem = Recording::default();
+                            let got = ms.search(&mut got_mem, cur, reference, mbx, mby);
+                            assert_eq!(got, want, "{at}");
+                            assert!(want_mem.log.len() >= 2, "{at}: oracle charged nothing");
+                            assert!(got_mem.log == want_mem.log, "{at}: charges differ");
+                            let unbatched = ms.search(&mut null, cur, reference, mbx, mby);
+                            assert_eq!(unbatched, want, "{at}: NullModel");
+                        }
+                    }
+                }
+            }
+        }
+        m4ps_dsp::force_tier(original);
     }
 
     #[test]

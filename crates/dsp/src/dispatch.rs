@@ -18,11 +18,14 @@
 //! Every vectorised kernel is **bit-identical** to its scalar reference:
 //! all of these kernels are pure integer arithmetic, so equality is
 //! exact, not approximate (the float DCT keeps its own `to_bits` pinning
-//! in `dct.rs`). The cutoff SAD variants check the cutoff after every
-//! row in every tier, so the `(sum, rows_visited)` pair — which the
-//! codec replays into the simulated memory hierarchy — is identical
-//! across tiers, which is what keeps memsim `Counters` bit-identical
-//! whichever tier ran. The differential property suites in
+//! in `dct.rs`). What the codec replays into the simulated memory
+//! hierarchy is each candidate's `(sum, rows_visited)` pair, and that
+//! pair is identical across tiers: the per-candidate cutoff SADs check
+//! the cutoff after every row in every tier, and the row-group SAD
+//! computes the same rows and the same per-row running sums in every
+//! tier, from which the codec reads each candidate's pair. That is what
+//! keeps memsim `Counters` bit-identical whichever tier ran. The
+//! differential property suites in
 //! `tests/dispatch_equiv.rs` and the full-encode sweep in
 //! `m4ps-codec/tests/kernel_tiers.rs` pin this.
 //!
@@ -37,6 +40,7 @@
 
 use crate::dct::CoefBlock;
 use crate::interp::HalfPel;
+use crate::sad::{RowGroup, RowSums};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Full-block SAD: `(cur, cur_stride, cx, cy, ref, ref_stride, rx, ry)`.
@@ -52,6 +56,14 @@ pub type SadCutoffFn =
 /// `(frac_x, frac_y)` before the cutoff.
 pub type SadHalfPelFn =
     fn(&[u8], usize, usize, usize, &[u8], usize, usize, usize, bool, bool, u32) -> (u32, usize);
+
+/// 16×16 row-group SAD: `(cur, cur_stride, cx, cy, ref, ref_stride, rx,
+/// ry, group, sums) -> rows_computed`, scoring the candidates at `rx,
+/// rx + 1, …` at once (see [`crate::sad_16x16_row_group`]). Every tier
+/// scores 16 lanes and applies the same group test, so the rows
+/// computed and every live lane's sums are tier-independent.
+pub type SadRowGroupFn =
+    fn(&[u8], usize, usize, usize, &[u8], usize, usize, usize, RowGroup, &mut RowSums) -> usize;
 
 /// Bilinear interpolation: `(ref, ref_stride, rx, ry, phase, w, h, out)`
 /// with `out` row-major at stride `w`.
@@ -143,6 +155,8 @@ pub struct Kernels {
     pub sad16_cutoff: SadCutoffFn,
     /// 8×8 SAD with per-row early termination.
     pub sad8_cutoff: SadCutoffFn,
+    /// 16×16 SAD of up to 16 horizontally adjacent candidates at once.
+    pub sad16_row_group: SadRowGroupFn,
     /// 16×16 half-pel SAD with per-row early termination.
     pub sad16_half_pel: SadHalfPelFn,
     /// 8×8 half-pel SAD with per-row early termination.
@@ -171,6 +185,7 @@ static SCALAR: Kernels = Kernels {
     sad8: crate::sad::sad_8x8,
     sad16_cutoff: crate::sad::sad_16x16_with_cutoff,
     sad8_cutoff: crate::sad::sad_8x8_with_cutoff,
+    sad16_row_group: crate::sad::sad_16x16_row_group,
     sad16_half_pel: crate::sad::sad_half_pel_with_cutoff::<16>,
     sad8_half_pel: crate::sad::sad_half_pel_with_cutoff::<8>,
     interp: crate::interp::interpolate_half_pel,

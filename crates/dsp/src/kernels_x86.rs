@@ -8,19 +8,25 @@
 //! bias the rounding), and the quantizers run the same
 //! Granlund–Montgomery magic multiply as `StepDiv` in 64-bit lane
 //! pairs. The cutoff SAD variants test the cutoff after every row, like
-//! scalar, so `(sum, rows_visited)` — which the codec replays into the
-//! simulated memory hierarchy — cannot diverge across tiers.
+//! scalar, and the row-group SAD computes the same rows and running
+//! sums as scalar, so each candidate's `(sum, rows_visited)` — which the
+//! codec replays into the simulated memory hierarchy — cannot diverge
+//! across tiers.
 //!
 //! All plane loads go through slice indexing first, so out-of-bounds
 //! windows panic exactly where the scalar kernels panic; the raw
 //! pointer reads that follow are over freshly bounds-checked slices.
+//! The AVX2 row group's dead lanes read past the live window, never
+//! past the buffer: near the buffer's end it scores a zero-padded copy
+//! of the window instead.
 //!
 //! Tier layering mirrors the `SIMD_DO`/libmpeg2 exemplars: a tier only
 //! overrides the pointers it can beat. SSE2 keeps the scalar
 //! quantizers (`pmulld` is SSE4.1 and the magic divide needs 64-bit
-//! products); AVX2 keeps the SSE2 cutoff and half-pel SADs (the
-//! per-row cutoff pins work to one 16-pixel row, exactly one XMM
-//! `psadbw`).
+//! products); AVX2 keeps the SSE2 per-candidate cutoff and half-pel
+//! SADs (one candidate's per-row cutoff pins work to one 16-pixel row,
+//! exactly one XMM `psadbw`) but scores a row of 16 adjacent
+//! candidates with four `vmpsadbw` in the row-group SAD.
 
 #![allow(clippy::too_many_arguments)]
 
@@ -28,6 +34,7 @@ use crate::dct::CoefBlock;
 use crate::dispatch::{KernelTier, Kernels};
 use crate::interp::HalfPel;
 use crate::quant::{check_qp, StepDiv};
+use crate::sad::{RowGroup, RowSums, ROW_GROUP_LANES};
 use std::arch::x86_64::*;
 
 /// The SSE2 tier: vector SAD/interp/avg/copy, scalar quantizers.
@@ -37,6 +44,7 @@ pub(crate) static SSE2: Kernels = Kernels {
     sad8: sse2::sad_8x8,
     sad16_cutoff: sse2::sad_16x16_with_cutoff,
     sad8_cutoff: sse2::sad_8x8_with_cutoff,
+    sad16_row_group: sse2::sad_16x16_row_group,
     sad16_half_pel: sse2::sad_half_pel_16,
     sad8_half_pel: sse2::sad_half_pel_8,
     interp: sse2::interpolate_half_pel,
@@ -56,6 +64,7 @@ pub(crate) static AVX2: Kernels = Kernels {
     sad8: sse2::sad_8x8,
     sad16_cutoff: sse2::sad_16x16_with_cutoff,
     sad8_cutoff: sse2::sad_8x8_with_cutoff,
+    sad16_row_group: avx2::sad_16x16_row_group,
     sad16_half_pel: sse2::sad_half_pel_16,
     sad8_half_pel: sse2::sad_half_pel_8,
     interp: avx2::interpolate_half_pel,
@@ -93,6 +102,25 @@ unsafe fn hsum_sad_row(v: __m128i) -> u32 {
 unsafe fn hsum_sad_acc(v: __m128i) -> u32 {
     let hi = _mm_unpackhi_epi64(v, v);
     _mm_cvtsi128_si64(_mm_add_epi64(v, hi)) as u32
+}
+
+/// Byte mask of the row-group lanes whose running sum (16 u16 lanes,
+/// `lo` holding lanes 0–7) is at or below `cut`, two bits per lane —
+/// the layout of `RowGroup::test_bits`. `cut` is the group cutoff
+/// saturated to u16, which decides every lane exactly because no sum
+/// exceeds 65,280.
+#[inline]
+unsafe fn lanes_at_or_below(lo: __m128i, hi: __m128i, cut: __m128i) -> u32 {
+    let z = _mm_setzero_si128();
+    let lo = _mm_movemask_epi8(_mm_cmpeq_epi16(_mm_subs_epu16(lo, cut), z)) as u32;
+    let hi = _mm_movemask_epi8(_mm_cmpeq_epi16(_mm_subs_epu16(hi, cut), z)) as u32;
+    lo | hi << 16
+}
+
+/// The group cutoff saturated to u16 (see [`lanes_at_or_below`]).
+#[inline]
+fn row_group_cut(group: &RowGroup) -> i16 {
+    group.cutoff.min(u32::from(u16::MAX)) as u16 as i16
 }
 
 /// Exact `(a+b+c+d+2)>>2` over u8 lanes via u16 widening. Nested
@@ -261,6 +289,58 @@ mod sse2 {
         unsafe {
             sad_cutoff_kernel::<8>(
                 cur, cur_stride, cx, cy, reference, ref_stride, rx, ry, cutoff,
+            )
+        }
+    }
+
+    /// One `psadbw` per live lane per row; dead lanes stay zero.
+    unsafe fn row_group_kernel(
+        cur: &[u8],
+        cur_stride: usize,
+        cx: usize,
+        cy: usize,
+        reference: &[u8],
+        ref_stride: usize,
+        rx: usize,
+        ry: usize,
+        group: RowGroup,
+        sums: &mut RowSums,
+    ) -> usize {
+        let tested = group.test_bits();
+        let cut = _mm_set1_epi16(row_group_cut(&group));
+        let mut acc = [0u16; ROW_GROUP_LANES];
+        for (row, out) in sums.iter_mut().enumerate() {
+            let c = loadn::<16>(cur, cur_stride, cx, cy + row);
+            for (lane, a) in acc[..group.lanes].iter_mut().enumerate() {
+                let r = loadn::<16>(reference, ref_stride, rx + lane, ry + row);
+                *a += hsum_sad_row(_mm_sad_epu8(c, r)) as u16;
+            }
+            *out = acc;
+            let lo = _mm_loadu_si128(acc.as_ptr().cast());
+            let hi = _mm_loadu_si128(acc[8..].as_ptr().cast());
+            if lanes_at_or_below(lo, hi, cut) & tested == 0 {
+                return row + 1;
+            }
+        }
+        16
+    }
+
+    pub(crate) fn sad_16x16_row_group(
+        cur: &[u8],
+        cur_stride: usize,
+        cx: usize,
+        cy: usize,
+        reference: &[u8],
+        ref_stride: usize,
+        rx: usize,
+        ry: usize,
+        group: RowGroup,
+        sums: &mut RowSums,
+    ) -> usize {
+        // SAFETY: as in `sad_16x16`; `acc` is exactly 16 u16 lanes.
+        unsafe {
+            row_group_kernel(
+                cur, cur_stride, cx, cy, reference, ref_stride, rx, ry, group, sums,
             )
         }
     }
@@ -546,6 +626,115 @@ mod avx2 {
         // SAFETY: the AVX2 table is only selectable after feature
         // detection succeeded; loads are bounds-checked.
         unsafe { sad_16x16_kernel(cur, cur_stride, cx, cy, reference, ref_stride, rx, ry) }
+    }
+
+    /// Bytes a row-group row reads from the reference: lanes 0–15 over
+    /// 16 pixels, `rx..rx + 31`, loaded as one 32-byte window.
+    const GROUP_ROW_BYTES: usize = 32;
+
+    /// One row of a row group: the 16 lanes' SADs against the current
+    /// row `c` (broadcast to both halves) as u16. `window` is the
+    /// reference row from the first candidate, `GROUP_ROW_BYTES` long.
+    /// The low half scores lanes 0–7 from `window[0..16]` and
+    /// `window[8..24]`, the high half lanes 8–15 from `window[8..24]`
+    /// and `window[16..32]`; each `vmpsadbw` adds one 4-pixel column
+    /// block (its `imm8` picks the 4-byte offset into the reference half
+    /// and the current block, per half).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn row_group_row(window: &[u8], c: __m256i) -> __m256i {
+        let w = &window[..GROUP_ROW_BYTES];
+        let p = w.as_ptr();
+        let a = _mm256_loadu2_m128i(p.add(8).cast(), p.cast());
+        let b = _mm256_loadu2_m128i(p.add(16).cast(), p.add(8).cast());
+        _mm256_add_epi16(
+            _mm256_add_epi16(
+                _mm256_mpsadbw_epu8::<0b000_000>(a, c),
+                _mm256_mpsadbw_epu8::<0b101_101>(a, c),
+            ),
+            _mm256_add_epi16(
+                _mm256_mpsadbw_epu8::<0b010_010>(b, c),
+                _mm256_mpsadbw_epu8::<0b111_111>(b, c),
+            ),
+        )
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_group_kernel(
+        cur: &[u8],
+        cur_stride: usize,
+        cx: usize,
+        cy: usize,
+        reference: &[u8],
+        ref_stride: usize,
+        rx: usize,
+        ry: usize,
+        group: RowGroup,
+        sums: &mut RowSums,
+    ) -> usize {
+        let tested = group.test_bits();
+        let cut = _mm_set1_epi16(row_group_cut(&group));
+        let mut acc = _mm256_setzero_si256();
+        for (row, out) in sums.iter_mut().enumerate() {
+            let c = _mm256_broadcastsi128_si256(loadn::<16>(cur, cur_stride, cx, cy + row));
+            let window = &reference[(ry + row) * ref_stride + rx..];
+            acc = _mm256_add_epi16(acc, row_group_row(window, c));
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), acc);
+            let (lo, hi) = (
+                _mm256_castsi256_si128(acc),
+                _mm256_extracti128_si256::<1>(acc),
+            );
+            if lanes_at_or_below(lo, hi, cut) & tested == 0 {
+                return row + 1;
+            }
+        }
+        16
+    }
+
+    /// Dead lanes read past the live window, up to `rx + 31` on every
+    /// row. Where that would run past the end of `reference` (the last
+    /// rows of a tightly sized plane), the live window is copied into a
+    /// zero-filled scratch plane first, so no load leaves the buffer.
+    pub(crate) fn sad_16x16_row_group(
+        cur: &[u8],
+        cur_stride: usize,
+        cx: usize,
+        cy: usize,
+        reference: &[u8],
+        ref_stride: usize,
+        rx: usize,
+        ry: usize,
+        group: RowGroup,
+        sums: &mut RowSums,
+    ) -> usize {
+        let last = (ry + 15) * ref_stride + rx;
+        // SAFETY: the AVX2 table is only selectable after feature
+        // detection succeeded; loads are bounds-checked.
+        unsafe {
+            if last + GROUP_ROW_BYTES <= reference.len() {
+                return row_group_kernel(
+                    cur, cur_stride, cx, cy, reference, ref_stride, rx, ry, group, sums,
+                );
+            }
+            let live = group.lanes + 15;
+            let mut scratch = [0u8; 16 * GROUP_ROW_BYTES];
+            for (row, dst) in scratch.chunks_exact_mut(GROUP_ROW_BYTES).enumerate() {
+                let src = &reference[(ry + row) * ref_stride + rx..][..live];
+                dst[..live].copy_from_slice(src);
+            }
+            row_group_kernel(
+                cur,
+                cur_stride,
+                cx,
+                cy,
+                &scratch,
+                GROUP_ROW_BYTES,
+                0,
+                0,
+                group,
+                sums,
+            )
+        }
     }
 
     /// One diagonal 16-pixel chunk in u16 lanes of a single YMM.

@@ -40,8 +40,9 @@ pub use quant::{
     dequantize_inter, dequantize_intra, inter_zero_bound, quantize_inter, quantize_intra, QUANT_OPS,
 };
 pub use sad::{
-    sad_16x16, sad_16x16_with_cutoff, sad_8x8, sad_8x8_with_cutoff, sad_half_pel_with_cutoff,
-    SAD16_OPS, SAD8_OPS,
+    row_group_lane, sad_16x16, sad_16x16_row_group, sad_16x16_with_cutoff, sad_8x8,
+    sad_8x8_with_cutoff, sad_half_pel_with_cutoff, RowGroup, RowSums, ROW_GROUP_LANES, SAD16_OPS,
+    SAD8_OPS,
 };
 pub use zigzag::{scan_zigzag, unscan_zigzag, ZIGZAG};
 

@@ -131,6 +131,125 @@ pub fn sad_8x8_with_cutoff(
     )
 }
 
+/// Candidates one row group scores: 16 horizontally adjacent reference
+/// blocks, one pixel apart.
+pub const ROW_GROUP_LANES: usize = 16;
+
+/// Running row sums of a row group: `sums[row][lane]` is lane's SAD over
+/// rows `0..=row`. A 16×16 SAD is at most 16·16·255 = 65,280, so u16
+/// never overflows.
+pub type RowSums = [[u16; ROW_GROUP_LANES]; 16];
+
+/// One run of a row-group SAD: which lanes are live and the cutoff the
+/// group test applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowGroup {
+    /// Live lanes: the candidates at `rx, rx + 1, …, rx + lanes − 1`
+    /// (`1..=16`).
+    pub lanes: usize,
+    /// A live lane left out of the group (a candidate already scored),
+    /// if any; its sums are unspecified. At least one lane must remain.
+    pub masked: Option<usize>,
+    /// The cutoff in force at the run's first candidate.
+    pub cutoff: u32,
+}
+
+impl RowGroup {
+    /// Two bits per tested lane (live and not masked), in the layout of
+    /// a byte mask over 16 u16 lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is outside `1..=16` or no lane is tested.
+    #[inline]
+    pub(crate) fn test_bits(&self) -> u32 {
+        assert!(
+            (1..=ROW_GROUP_LANES).contains(&self.lanes),
+            "row group of {} lanes",
+            self.lanes
+        );
+        let live = u32::MAX >> (2 * (ROW_GROUP_LANES - self.lanes));
+        let tested = match self.masked {
+            Some(lane) => live & !(0b11 << (2 * lane)),
+            None => live,
+        };
+        assert_ne!(tested, 0, "row group tests no lane");
+        tested
+    }
+}
+
+/// The 16×16 row-group SAD: scores the current block at `(cx, cy)`
+/// against the `group.lanes` reference blocks at `(rx + lane, ry)`,
+/// storing each tested lane's running sum in `sums[row][lane]` for every
+/// row up to and including its first row above `group.cutoff` (all 16
+/// when it never exceeds it). Returns the rows computed: the first row
+/// after which every tested lane is above the cutoff, or 16.
+///
+/// Replaying a lane's sums against any cutoff no larger than
+/// `group.cutoff` ([`row_group_lane`]) gives exactly the `(sum, rows)`
+/// pair [`sad_16x16_with_cutoff`] returns for that candidate, because
+/// its first row above that cutoff comes no later. Every other entry
+/// is unspecified: the vector tiers score all 16 lanes row by row,
+/// while this reference body is one cutoff SAD per tested lane.
+///
+/// # Panics
+///
+/// Panics if `group.lanes` is outside `1..=16`, no lane is tested, or
+/// (via slice indexing) a live block exceeds plane bounds.
+#[allow(clippy::too_many_arguments)]
+pub fn sad_16x16_row_group(
+    cur: &[u8],
+    cur_stride: usize,
+    cx: usize,
+    cy: usize,
+    reference: &[u8],
+    ref_stride: usize,
+    rx: usize,
+    ry: usize,
+    group: RowGroup,
+    sums: &mut RowSums,
+) -> usize {
+    let tested = group.test_bits();
+    let mut rows = 0;
+    for lane in (0..group.lanes).filter(|&l| tested >> (2 * l) & 1 == 1) {
+        let mut acc = 0u32;
+        for (row, out) in sums.iter_mut().enumerate() {
+            acc += sad_row(
+                row_n::<16>(cur, cur_stride, cx, cy + row),
+                row_n::<16>(reference, ref_stride, rx + lane, ry + row),
+            );
+            out[lane] = acc as u16;
+            if acc > group.cutoff || row == 15 {
+                rows = rows.max(row + 1);
+                break;
+            }
+        }
+    }
+    rows
+}
+
+/// Replays one lane of a row group against `cutoff`: the `(sum, rows)`
+/// pair [`sad_16x16_with_cutoff`] returns for that candidate, read from
+/// the `rows` rows the group computed. Exact for any `cutoff` no larger
+/// than the group's (see [`sad_16x16_row_group`]).
+///
+/// # Panics
+///
+/// Panics if the lane stays at or below `cutoff` through fewer than 16
+/// computed rows: the group stopped before this lane's cutoff row, so
+/// `cutoff` exceeded the group's.
+#[inline]
+pub fn row_group_lane(sums: &RowSums, rows: usize, lane: usize, cutoff: u32) -> (u32, usize) {
+    for (row, s) in sums[..rows].iter().enumerate() {
+        let sum = u32::from(s[lane]);
+        if sum > cutoff {
+            return (sum, row + 1);
+        }
+    }
+    assert_eq!(rows, 16, "lane {lane} replayed past its group's rows");
+    (u32::from(sums[15][lane]), 16)
+}
+
 /// One row of SAD against a half-pel interpolated reference. The
 /// prediction arithmetic is the bilinear MPEG-4 rounding used by motion
 /// compensation: `(a+b+1)>>1` for one fractional axis, `(a+b+c+d+2)>>2`
@@ -359,6 +478,51 @@ mod tests {
         let (v, rows) = sad_half_pel_with_cutoff::<8>(&a, 24, 0, 0, &b, 24, 0, 0, true, true, 100);
         assert!(v > 100);
         assert_eq!(rows, 1);
+    }
+
+    /// The reference row group against per-lane cutoff SADs: every
+    /// lane replayed at any cutoff up to the group's matches
+    /// `sad_16x16_with_cutoff`, and the group stops exactly when every
+    /// tested lane is above its cutoff. Small planes keep it cheap
+    /// under Miri.
+    #[test]
+    fn row_group_replays_per_lane_cutoff_sad() {
+        let cur = plane(20, 18, |x, y| (x * 37 + y * 11 + x * y) as u8);
+        let rf = plane(40, 18, |x, y| (x * 13 + y * 29 + (x ^ y) * 5) as u8);
+        let lane_sad = |lane: usize, cutoff: u32| {
+            sad_16x16_with_cutoff(&cur, 20, 2, 1, &rf, 40, 3 + lane, 2, cutoff)
+        };
+        let mut sorted: Vec<u32> = (0..ROW_GROUP_LANES)
+            .map(|l| lane_sad(l, u32::MAX).0)
+            .collect();
+        sorted.sort_unstable();
+        let cutoffs = [0, sorted[0], sorted[5], sorted[15], 65_280, u32::MAX];
+        for lanes in [1, 2, 7, 16] {
+            let masks = [None, Some(0), Some(lanes - 1)];
+            for masked in masks.into_iter().filter(|&m| lanes > 1 || m.is_none()) {
+                for cutoff in cutoffs {
+                    let group = RowGroup {
+                        lanes,
+                        masked,
+                        cutoff,
+                    };
+                    let mut sums = [[0u16; ROW_GROUP_LANES]; 16];
+                    let rows = sad_16x16_row_group(&cur, 20, 2, 1, &rf, 40, 3, 2, group, &mut sums);
+                    let tested = (0..lanes).filter(|&l| masked != Some(l));
+                    let want_rows = tested.map(|l| lane_sad(l, cutoff).1).max();
+                    assert_eq!(Some(rows), want_rows, "{group:?}");
+                    for lane in (0..lanes).filter(|&l| masked != Some(l)) {
+                        for c in [cutoff, cutoff / 2, 0] {
+                            assert_eq!(
+                                row_group_lane(&sums, rows, lane, c),
+                                lane_sad(lane, c),
+                                "{group:?} lane {lane} cutoff {c}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Runs on the in-tree [`m4ps_testkit::prop`] harness; failures print a
 //! replayable seed (`M4PS_PROP_REPLAY=0x...`).
 
-use m4ps_dsp::{CoefBlock, HalfPel, KernelTier, Kernels};
+use m4ps_dsp::{row_group_lane, CoefBlock, HalfPel, KernelTier, Kernels, RowGroup, RowSums};
 use m4ps_testkit::prop::{check, Config};
 use m4ps_testkit::prop_assert_eq;
 use m4ps_testkit::rng::Rng;
@@ -196,6 +196,191 @@ fn cutoff_sad_matches_scalar_sum_and_rows() {
             Ok(())
         },
     );
+}
+
+/// Every supported tier, the scalar reference first.
+fn all_tiers() -> Vec<&'static Kernels> {
+    std::iter::once(scalar()).chain(vector_tiers()).collect()
+}
+
+/// One row-group run: a current block and the reference plane holding
+/// the run, its lanes, masked lane and cutoff.
+#[derive(Debug)]
+struct RowGroupCase {
+    cur: Plane,
+    cx: usize,
+    cy: usize,
+    reference: Plane,
+    rx: usize,
+    ry: usize,
+    group: RowGroup,
+}
+
+fn row_group_case(rng: &mut Rng) -> RowGroupCase {
+    let lanes = rng.gen_range(1usize..=16);
+    // A group must test at least one lane.
+    let masked = (lanes > 1 && rng.gen_bool()).then(|| rng.gen_range(0..lanes));
+    // 0 and random cutoffs stop the group at every row; 65,280 and
+    // above never stop it.
+    let cutoff = match rng.gen_range(0u32..5) {
+        0 => 0,
+        1 => rng.gen_range(0u32..4096),
+        2 => rng.gen_range(0u32..40_000),
+        3 => rng.gen_range(65_280u32..=200_000),
+        _ => u32::MAX,
+    };
+    let (mx, my) = (rng.gen_range(0usize..24), rng.gen_range(0usize..8));
+    let cur = Plane::gen(rng, mx, my, 16, 16);
+    let mut reference = Plane::gen(rng, mx, my, lanes + 15, 16);
+    let (rx, ry) = (rng.gen_range(0..=mx), rng.gen_range(0..=my));
+    // Often end the buffer right after the live window's last pixel,
+    // where the dead lanes' columns would run past it.
+    if rng.gen_bool() {
+        reference
+            .data
+            .truncate((ry + 15) * reference.stride + rx + lanes + 15);
+    }
+    RowGroupCase {
+        cx: rng.gen_range(0..=mx),
+        cy: rng.gen_range(0..=my),
+        cur,
+        rx,
+        ry,
+        reference,
+        group: RowGroup {
+            lanes,
+            masked,
+            cutoff,
+        },
+    }
+}
+
+/// Runs `case` on every tier and checks each against the scalar body
+/// (the rows computed, and each tested lane's running sums through its
+/// first row above the cutoff) and each tested lane, replayed at the
+/// group cutoff and at a lower one, against the per-lane scalar cutoff
+/// SAD.
+fn check_row_group(case: &RowGroupCase, lower: u32) -> Result<(), String> {
+    let run = |k: &Kernels| {
+        let mut sums: RowSums = [[0xdead; 16]; 16];
+        let rows = (k.sad16_row_group)(
+            &case.cur.data,
+            case.cur.stride,
+            case.cx,
+            case.cy,
+            &case.reference.data,
+            case.reference.stride,
+            case.rx,
+            case.ry,
+            case.group,
+            &mut sums,
+        );
+        (rows, sums)
+    };
+    let tested: Vec<usize> = (0..case.group.lanes)
+        .filter(|&l| case.group.masked != Some(l))
+        .collect();
+    // Each tested lane's defined sums, as the scalar body leaves them.
+    let defined = |sums: &RowSums| -> Vec<Vec<u16>> {
+        tested
+            .iter()
+            .map(|&lane| {
+                let stop = sums
+                    .iter()
+                    .position(|row| u32::from(row[lane]) > case.group.cutoff)
+                    .map_or(16, |row| row + 1);
+                sums[..stop].iter().map(|row| row[lane]).collect()
+            })
+            .collect()
+    };
+    let (want_rows, want_sums) = run(scalar());
+    let want_sums = defined(&want_sums);
+    for k in all_tiers() {
+        let (rows, sums) = run(k);
+        prop_assert_eq!(rows, want_rows, "row group rows tier {}", k.tier.name());
+        prop_assert_eq!(
+            defined(&sums),
+            want_sums,
+            "row group sums tier {}",
+            k.tier.name()
+        );
+        for &lane in &tested {
+            for cutoff in [case.group.cutoff, lower.min(case.group.cutoff)] {
+                let want = (scalar().sad16_cutoff)(
+                    &case.cur.data,
+                    case.cur.stride,
+                    case.cx,
+                    case.cy,
+                    &case.reference.data,
+                    case.reference.stride,
+                    case.rx + lane,
+                    case.ry,
+                    cutoff,
+                );
+                prop_assert_eq!(
+                    row_group_lane(&sums, rows, lane, cutoff),
+                    want,
+                    "tier {} lane {} cutoff {}",
+                    k.tier.name(),
+                    lane,
+                    cutoff
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn row_group_sad_matches_scalar_and_per_lane_cutoff_sad() {
+    check(
+        "row_group_sad_matches_scalar_and_per_lane_cutoff_sad",
+        &Config::default(),
+        |rng| (row_group_case(rng), rng.gen_range(0u32..30_000)),
+        |(case, lower)| check_row_group(case, *lower),
+    );
+}
+
+/// The codec's runs at the edges of a padded plane with the widest
+/// search range (±15): a 48×48 plane with the 16-pixel border, the
+/// corner macroblocks, the first and last `dy` rows, and both runs of
+/// each row (16 lanes from −15, 15 lanes from +1), with the buffer
+/// ending at the padded surface's last pixel.
+#[test]
+fn row_group_sad_covers_padded_edges_at_range_15() {
+    const PAD: usize = 16;
+    let (w, h) = (48usize, 48usize);
+    let stride = w + 2 * PAD;
+    let mut rng = Rng::new(0x5ad_ed9e);
+    let mut data = vec![0u8; stride * (h + 2 * PAD)];
+    rng.fill_bytes(&mut data);
+    let plane = || Plane {
+        data: data.clone(),
+        stride,
+    };
+    for (bx, by) in [(0, 0), (w - 16, 0), (0, h - 16), (w - 16, h - 16), (16, 16)] {
+        for dy in [-15isize, 0, 15] {
+            for (dx0, lanes) in [(-15isize, 16usize), (1, 15)] {
+                let masked = (dy == 0 && dx0 <= 0).then_some((-dx0) as usize);
+                for cutoff in [0, 9_000, 20_000, 65_280, u32::MAX] {
+                    let case = RowGroupCase {
+                        cur: plane(),
+                        cx: bx + PAD,
+                        cy: by + PAD,
+                        reference: plane(),
+                        rx: ((bx + PAD) as isize + dx0) as usize,
+                        ry: ((by + PAD) as isize + dy) as usize,
+                        group: RowGroup {
+                            lanes,
+                            masked,
+                            cutoff,
+                        },
+                    };
+                    check_row_group(&case, cutoff / 3).unwrap_or_else(|e| panic!("{case:?}: {e}"));
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -133,6 +133,10 @@ pub struct BenchResult {
     pub bytes_per_iter: Option<u64>,
     /// Derived throughput in MB/s, if `bytes_per_iter` was declared.
     pub throughput_mb_s: Option<f64>,
+    /// For the second entry of an interleaved pair: the median over
+    /// sample pairs of this entry's ns/iteration divided by the first
+    /// entry's, in the same pair.
+    pub paired_ratio: Option<f64>,
 }
 
 /// Collects benchmarks, then prints a table and writes the JSON report.
@@ -185,20 +189,61 @@ impl BenchRunner {
         self.bench_inner(name, Some(bytes_per_iter), f);
     }
 
-    fn bench_inner<R>(
+    /// Times `a` and `b` as one interleaved series, recording them under
+    /// `names`: [`BenchRunner::pair_samples`] sample pairs, each taking
+    /// one sample of both at the same iteration count, alternating which
+    /// goes first. Machine noise that drifts over seconds (a neighbour's
+    /// load, frequency changes) then lands on both sides of a pair
+    /// alike, so the median per-pair ratio (`b`'s
+    /// [`BenchResult::paired_ratio`]) resolves a small overhead that two
+    /// back-to-back benches cannot. Runs (recording both) when the
+    /// filter matches either name.
+    pub fn bench_interleaved<Ra, Rb>(
         &mut self,
-        name: &str,
-        bytes_per_iter: Option<u64>,
-        mut f: impl FnMut() -> R,
+        names: [&str; 2],
+        bytes_per_iter: u64,
+        mut a: impl FnMut() -> Ra,
+        mut b: impl FnMut() -> Rb,
     ) {
-        if let Some(filter) = &self.opts.filter {
-            if !name.contains(filter.as_str()) {
-                return;
+        if !names.iter().any(|n| self.selected(n)) {
+            return;
+        }
+        let iters = self.calibrate(&mut a).max(self.calibrate(&mut b));
+        let pairs = self.pair_samples();
+        let (mut sa, mut sb) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+        for i in 0..pairs {
+            if i % 2 == 0 {
+                sa.push(sample_ns(iters, &mut a));
+                sb.push(sample_ns(iters, &mut b));
+            } else {
+                sb.push(sample_ns(iters, &mut b));
+                sa.push(sample_ns(iters, &mut a));
             }
         }
-        // Warmup doubles as calibration: grow the iteration count until
-        // one batch costs at least a quarter of the sample target, then
-        // size the per-sample budget from the observed speed.
+        let mut ratios: Vec<f64> = sa.iter().zip(&sb).map(|(a, b)| b / a).collect();
+        let ratio = median(&mut ratios);
+        self.record(names[0], Some(bytes_per_iter), iters, sa, None);
+        self.record(names[1], Some(bytes_per_iter), iters, sb, Some(ratio));
+    }
+
+    /// Sample pairs of an interleaved bench: eight per plain sample
+    /// (56 in smoke mode, 200 at the full budget).
+    #[must_use]
+    pub fn pair_samples(&self) -> usize {
+        8 * self.opts.samples
+    }
+
+    fn selected(&self, name: &str) -> bool {
+        self.opts
+            .filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
+    /// Warmup doubles as calibration: grow the iteration count until
+    /// one batch costs at least a quarter of the sample target, then
+    /// size the per-sample budget from the observed speed.
+    fn calibrate<R>(&self, f: &mut impl FnMut() -> R) -> u64 {
         let mut iters: u64 = 1;
         let per_iter_ns = loop {
             let start = Instant::now();
@@ -211,18 +256,35 @@ impl BenchRunner {
             }
             iters *= 2;
         };
-        let iters_per_sample =
-            ((self.opts.target_sample_ns as f64 / per_iter_ns).ceil() as u64).max(1);
+        ((self.opts.target_sample_ns as f64 / per_iter_ns).ceil() as u64).max(1)
+    }
 
-        let mut samples_ns: Vec<f64> = Vec::with_capacity(self.opts.samples);
-        for _ in 0..self.opts.samples {
-            let start = Instant::now();
-            for _ in 0..iters_per_sample {
-                black_box(f());
-            }
-            let elapsed = start.elapsed().as_nanos() as f64;
-            samples_ns.push(elapsed / iters_per_sample as f64);
+    fn bench_inner<R>(
+        &mut self,
+        name: &str,
+        bytes_per_iter: Option<u64>,
+        mut f: impl FnMut() -> R,
+    ) {
+        if !self.selected(name) {
+            return;
         }
+        let iters_per_sample = self.calibrate(&mut f);
+        let samples_ns: Vec<f64> = (0..self.opts.samples)
+            .map(|_| sample_ns(iters_per_sample, &mut f))
+            .collect();
+        self.record(name, bytes_per_iter, iters_per_sample, samples_ns, None);
+    }
+
+    /// Summarises one benchmark's per-sample ns/iteration and prints
+    /// its row.
+    fn record(
+        &mut self,
+        name: &str,
+        bytes_per_iter: Option<u64>,
+        iters_per_sample: u64,
+        samples_ns: Vec<f64>,
+        paired_ratio: Option<f64>,
+    ) {
         let med = median(&mut samples_ns.clone());
         let mut deviations: Vec<f64> = samples_ns.iter().map(|s| (s - med).abs()).collect();
         let mad = median(&mut deviations);
@@ -235,9 +297,10 @@ impl BenchRunner {
             mad_ns: mad,
             min_ns: min,
             iters_per_sample,
-            samples: self.opts.samples,
+            samples: samples_ns.len(),
             bytes_per_iter,
             throughput_mb_s,
+            paired_ratio,
         };
         print_row(&result);
         self.results.push(result);
@@ -291,6 +354,7 @@ impl BenchRunner {
                                     "throughput_mb_s",
                                     r.throughput_mb_s.map_or(Json::Null, Json::Num),
                                 ),
+                                ("paired_ratio", r.paired_ratio.map_or(Json::Null, Json::Num)),
                             ])
                         })
                         .collect(),
@@ -322,6 +386,15 @@ impl BenchRunner {
     }
 }
 
+/// One sample of `iters` calls of `f`, in ns per call.
+fn sample_ns<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 fn median(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty());
     values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in timings"));
@@ -337,9 +410,12 @@ fn print_row(r: &BenchResult) {
     let throughput = r
         .throughput_mb_s
         .map_or(String::new(), |t| format!("  {t:10.1} MB/s"));
+    let paired = r
+        .paired_ratio
+        .map_or(String::new(), |p| format!("  {p:.4}x paired"));
     println!(
-        "{:38} {:>12.1} ns/iter (±{:.1} MAD, {} iters x {} samples){}",
-        r.name, r.median_ns, r.mad_ns, r.iters_per_sample, r.samples, throughput
+        "{:38} {:>12.1} ns/iter (±{:.1} MAD, {} iters x {} samples){}{}",
+        r.name, r.median_ns, r.mad_ns, r.iters_per_sample, r.samples, throughput, paired
     );
 }
 
@@ -379,6 +455,48 @@ mod tests {
         assert!(res.mad_ns >= 0.0);
         assert!(res.min_ns <= res.median_ns);
         assert!(res.iters_per_sample >= 1);
+    }
+
+    #[test]
+    fn interleaved_pair_records_both_entries() {
+        let mut r = BenchRunner::with_options("selftest", quiet_opts());
+        let (mut calls_a, mut calls_b) = (0u64, 0u64);
+        r.bench_interleaved(
+            ["pair/a", "pair/b"],
+            64,
+            || {
+                calls_a += 1;
+                (0..100u64).map(black_box).sum::<u64>()
+            },
+            || {
+                calls_b += 1;
+                (0..200u64).map(black_box).sum::<u64>()
+            },
+        );
+        let names: Vec<&str> = r.results().iter().map(|res| res.name.as_str()).collect();
+        assert_eq!(names, ["pair/a", "pair/b"]);
+        let (a, b) = (&r.results()[0], &r.results()[1]);
+        assert_eq!(a.samples, r.pair_samples());
+        assert_eq!(b.samples, r.pair_samples());
+        assert_eq!(a.iters_per_sample, b.iters_per_sample);
+        assert!(a.throughput_mb_s.is_some());
+        assert_eq!(a.paired_ratio, None);
+        assert!(b.paired_ratio.is_some_and(|x| x > 0.0));
+        assert!(calls_a > 0 && calls_b > 0);
+        let doc = Json::parse(&r.report_json()).unwrap();
+        let rows = doc.get("results").and_then(Json::as_arr).unwrap();
+        assert!(rows[1].get("paired_ratio").and_then(Json::as_f64).is_some());
+    }
+
+    #[test]
+    fn interleaved_pair_runs_when_either_name_is_selected() {
+        for (filter, runs) in [("pair/b", 2), ("other", 0)] {
+            let mut opts = quiet_opts();
+            opts.filter = Some(filter.into());
+            let mut r = BenchRunner::with_options("selftest", opts);
+            r.bench_interleaved(["pair/a", "pair/b"], 1, || 1u32, || 2u32);
+            assert_eq!(r.results().len(), runs, "filter {filter}");
+        }
     }
 
     #[test]

@@ -28,9 +28,12 @@
 //! pair, the installed-profiler overhead is gated too (default ceiling
 //! +8%, `--max-obs-overhead`), and the `parallel/encode_frame/rec={off,on}`
 //! pair likewise gates the installed flight-recorder overhead (default
-//! ceiling +8%, `--max-rec-overhead`). `--phases <file>` additionally
-//! prints the top-3 stall-cycle phases from a `trace_smoke` phases JSONL
-//! next to the gate report.
+//! ceiling +8%, `--max-rec-overhead`). The bench measures each pair as
+//! one interleaved series, and the gate reads the `on` entry's
+//! `paired_ratio` (the median per-pair on/off ratio); a report without
+//! one falls back to the ratio of the two medians. `--phases <file>`
+//! additionally prints the top-3 stall-cycle phases from a
+//! `trace_smoke` phases JSONL next to the gate report.
 
 use m4ps_testkit::json::Json;
 use std::process::ExitCode;
@@ -104,11 +107,20 @@ const GATES: [Gate; 4] = [
     },
 ];
 
-/// `(name, median_ns)` rows plus the report's `meta.kernel_tier` tag
-/// (reports from before the tag carry `None`).
-type MediansAndTier = (Vec<(String, f64)>, Option<String>);
+/// One benchmark row of a report.
+struct Row {
+    name: String,
+    median_ns: f64,
+    /// The median per-pair ratio to its interleaved partner, when the
+    /// bench ran as the second half of a pair.
+    paired_ratio: Option<f64>,
+}
 
-fn load_medians(path: &str) -> Result<MediansAndTier, String> {
+/// A report's rows plus its `meta.kernel_tier` tag (reports from before
+/// the tag carry `None`).
+type RowsAndTier = (Vec<Row>, Option<String>);
+
+fn load_medians(path: &str) -> Result<RowsAndTier, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let schema = doc.get("schema").and_then(Json::as_str);
@@ -134,7 +146,11 @@ fn load_medians(path: &str) -> Result<MediansAndTier, String> {
             .get("median_ns")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{path}: {name}: missing median_ns"))?;
-        out.push((name.to_string(), median));
+        out.push(Row {
+            name: name.to_string(),
+            median_ns: median,
+            paired_ratio: r.get("paired_ratio").and_then(Json::as_f64),
+        });
     }
     Ok((out, kernel_tier))
 }
@@ -157,16 +173,15 @@ impl Gate {
     /// Prints the gate's report and checks it against `bound`. Returns
     /// `Ok(None)` when the series is absent (the file simply doesn't
     /// carry those benches), `Ok(Some(pass))` otherwise.
-    fn run(&self, medians: &[(String, f64)], bound: f64) -> Result<Option<bool>, String> {
+    fn run(&self, rows: &[Row], bound: f64) -> Result<Option<bool>, String> {
         let series = self.series;
-        let median_of = |label: &str| {
+        let row_of = |label: &str| {
             let name = format!("{series}{label}");
-            medians
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, m)| m)
-                .filter(|&m| m > 0.0)
+            rows.iter()
+                .find(|r| r.name == name)
+                .filter(|r| r.median_ns > 0.0)
         };
+        let median_of = |label: &str| row_of(label).map(|r| r.median_ns);
         let missing = |label: &str| format!("{series}{label} missing from fresh results");
         match self.check {
             Check::Scaling => {
@@ -198,10 +213,15 @@ impl Gate {
                 let Some(off) = median_of("off") else {
                     return Ok(None);
                 };
-                let on = median_of("on").ok_or_else(|| missing("on"))?;
-                let overhead_pct = (on / off - 1.0) * 100.0;
+                let on = row_of("on").ok_or_else(|| missing("on"))?;
+                let (ratio, how) = match on.paired_ratio {
+                    Some(ratio) => (ratio, "median of interleaved pairs"),
+                    None => (on.median_ns / off, "ratio of medians"),
+                };
+                let overhead_pct = (ratio - 1.0) * 100.0;
                 println!(
-                    "{what} overhead ({series}on vs off): {off:.0} -> {on:.0} ns ({overhead_pct:+.1}%, ceiling +{bound}%)"
+                    "{what} overhead ({series}on vs off): {off:.0} -> {:.0} ns, {how} {overhead_pct:+.1}% (ceiling +{bound}%)",
+                    on.median_ns
                 );
                 if overhead_pct > bound {
                     println!(
@@ -256,16 +276,21 @@ fn print_top_stall_phases(path: &str) -> Result<(), String> {
 
 /// Diffs every benchmark `fresh` shares with `baseline` and reports
 /// whether all stayed within `max_regress_pct`.
-fn compare(
-    baseline: &[(String, f64)],
-    fresh: &[(String, f64)],
-    max_regress_pct: f64,
-) -> Result<bool, String> {
+fn compare(baseline: &[Row], fresh: &[Row], max_regress_pct: f64) -> Result<bool, String> {
     let limit = 1.0 + max_regress_pct / 100.0;
     let mut regressions = 0usize;
     let mut compared = 0usize;
-    for (name, fresh_median) in fresh {
-        let Some((_, base_median)) = baseline.iter().find(|(n, _)| n == name) else {
+    for Row {
+        name,
+        median_ns: fresh_median,
+        ..
+    } in fresh
+    {
+        let Some(Row {
+            median_ns: base_median,
+            ..
+        }) = baseline.iter().find(|r| r.name == *name)
+        else {
             println!("  new       {name}: {fresh_median:.0} ns (no baseline, not gated)");
             continue;
         };
@@ -286,8 +311,8 @@ fn compare(
             );
         }
     }
-    for (name, _) in baseline {
-        if !fresh.iter().any(|(n, _)| n == name) {
+    for Row { name, .. } in baseline {
+        if !fresh.iter().any(|r| r.name == *name) {
             println!("  retired   {name}: present in baseline only");
         }
     }
