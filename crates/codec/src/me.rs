@@ -949,14 +949,16 @@ mod tests {
         plane
     }
 
-    /// The row-group full search against the per-candidate oracle on
-    /// every kernel tier, every range, with and without half-pel, at
-    /// every macroblock of a 4×3-MB frame (corners, edges, interior):
-    /// the same outcome and, through a recording model, the same
-    /// candidate batches and ops in the same order. Two content pairs:
-    /// a shifted texture with noise (the best SAD falls during the
-    /// walk, so cutoffs vary candidate by candidate) and unrelated
-    /// noise (late cutoffs).
+    /// The row-group full search against the per-candidate oracle at
+    /// every range, with and without half-pel, at every macroblock of a
+    /// 4×3-MB frame (corners, edges, interior): the same outcome and,
+    /// through a recording model, the same candidate batches and ops in
+    /// the same order. Two content pairs: a shifted texture with noise
+    /// (the best SAD falls during the walk, so cutoffs vary candidate
+    /// by candidate) and unrelated noise (late cutoffs). Runs on the
+    /// active kernel tier only: `force_tier` swaps process-global state
+    /// under the other tests of this binary, and CI re-runs the suite
+    /// with each tier forced through `M4PS_KERNELS`.
     #[test]
     fn full_search_matches_per_candidate_oracle() {
         let hash = |x: isize, y: isize, k: isize| -> u8 {
@@ -982,32 +984,26 @@ mod tests {
                 plane_from(&mut space, &mut null, size, |x, y| hash(x, y, 4)),
             ),
         ];
-        let original = m4ps_dsp::active_tier();
-        for tier in m4ps_dsp::supported_tiers() {
-            m4ps_dsp::force_tier(tier);
-            for (cur, reference) in &pairs {
-                for range in 1..=15 {
-                    for half_pel in [false, true] {
-                        let ms = MotionSearch::new(SearchStrategy::FullSearch, range, half_pel);
-                        for (mbx, mby) in (0..4).flat_map(|x| (0..3).map(move |y| (x, y))) {
-                            let at =
-                                format!("{tier:?} range {range} half {half_pel} mb {mbx},{mby}");
-                            let mut want_mem = Recording::default();
-                            let want =
-                                per_candidate_search(&ms, &mut want_mem, cur, reference, mbx, mby);
-                            let mut got_mem = Recording::default();
-                            let got = ms.search(&mut got_mem, cur, reference, mbx, mby);
-                            assert_eq!(got, want, "{at}");
-                            assert!(want_mem.log.len() >= 2, "{at}: oracle charged nothing");
-                            assert!(got_mem.log == want_mem.log, "{at}: charges differ");
-                            let unbatched = ms.search(&mut null, cur, reference, mbx, mby);
-                            assert_eq!(unbatched, want, "{at}: NullModel");
-                        }
+        for (cur, reference) in &pairs {
+            for range in 1..=15 {
+                for half_pel in [false, true] {
+                    let ms = MotionSearch::new(SearchStrategy::FullSearch, range, half_pel);
+                    for (mbx, mby) in (0..4).flat_map(|x| (0..3).map(move |y| (x, y))) {
+                        let at = format!("range {range} half {half_pel} mb {mbx},{mby}");
+                        let mut want_mem = Recording::default();
+                        let want =
+                            per_candidate_search(&ms, &mut want_mem, cur, reference, mbx, mby);
+                        let mut got_mem = Recording::default();
+                        let got = ms.search(&mut got_mem, cur, reference, mbx, mby);
+                        assert_eq!(got, want, "{at}");
+                        assert!(want_mem.log.len() >= 2, "{at}: oracle charged nothing");
+                        assert!(got_mem.log == want_mem.log, "{at}: charges differ");
+                        let unbatched = ms.search(&mut null, cur, reference, mbx, mby);
+                        assert_eq!(unbatched, want, "{at}: NullModel");
                     }
                 }
             }
         }
-        m4ps_dsp::force_tier(original);
     }
 
     #[test]

@@ -190,8 +190,8 @@ impl BenchRunner {
     }
 
     /// Times `a` and `b` as one interleaved series, recording them under
-    /// `names`: [`BenchRunner::pair_samples`] sample pairs, each taking
-    /// one sample of both at the same iteration count, alternating which
+    /// `names`: eight sample pairs per plain sample, each taking one
+    /// sample of both at the same iteration count, alternating which
     /// goes first. Machine noise that drifts over seconds (a neighbour's
     /// load, frequency changes) then lands on both sides of a pair
     /// alike, so the median per-pair ratio (`b`'s
@@ -228,8 +228,7 @@ impl BenchRunner {
 
     /// Sample pairs of an interleaved bench: eight per plain sample
     /// (56 in smoke mode, 200 at the full budget).
-    #[must_use]
-    pub fn pair_samples(&self) -> usize {
+    fn pair_samples(&self) -> usize {
         8 * self.opts.samples
     }
 

@@ -30,8 +30,8 @@
 //! pair likewise gates the installed flight-recorder overhead (default
 //! ceiling +8%, `--max-rec-overhead`). The bench measures each pair as
 //! one interleaved series, and the gate reads the `on` entry's
-//! `paired_ratio` (the median per-pair on/off ratio); a report without
-//! one falls back to the ratio of the two medians. `--phases <file>`
+//! `paired_ratio` (the median per-pair on/off ratio); an `on` entry
+//! without one is invalid input. `--phases <file>`
 //! additionally prints the top-3 stall-cycle phases from a
 //! `trace_smoke` phases JSONL next to the gate report.
 
@@ -214,13 +214,12 @@ impl Gate {
                     return Ok(None);
                 };
                 let on = row_of("on").ok_or_else(|| missing("on"))?;
-                let (ratio, how) = match on.paired_ratio {
-                    Some(ratio) => (ratio, "median of interleaved pairs"),
-                    None => (on.median_ns / off, "ratio of medians"),
-                };
+                let ratio = on.paired_ratio.ok_or_else(|| {
+                    format!("{series}on has no paired_ratio (not an interleaved pair)")
+                })?;
                 let overhead_pct = (ratio - 1.0) * 100.0;
                 println!(
-                    "{what} overhead ({series}on vs off): {off:.0} -> {:.0} ns, {how} {overhead_pct:+.1}% (ceiling +{bound}%)",
+                    "{what} overhead ({series}on vs off): {off:.0} -> {:.0} ns, median of interleaved pairs {overhead_pct:+.1}% (ceiling +{bound}%)",
                     on.median_ns
                 );
                 if overhead_pct > bound {
