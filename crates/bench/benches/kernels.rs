@@ -318,10 +318,11 @@ fn bench_memsim(r: &mut BenchRunner) {
 }
 
 /// Records the candidate batches a memory model is handed (and nothing
-/// else): the reference stream of one motion search.
+/// else): the reference stream of one motion search, one batch for the
+/// integer search and one for the half-pel refinement.
 #[derive(Default)]
 struct SpanRecorder {
-    batch: Vec<SearchCandidate>,
+    batches: Vec<Vec<SearchCandidate>>,
     counters: m4ps_memsim::Counters,
 }
 
@@ -329,7 +330,7 @@ impl MemModel for SpanRecorder {
     fn access_range(&mut self, _addr: u64, _len: u64, _kind: AccessKind, _arch_ops: u64) {}
 
     fn access_candidates(&mut self, batch: &[SearchCandidate]) {
-        self.batch.extend_from_slice(batch);
+        self.batches.push(batch.to_vec());
     }
 
     fn prefetch(&mut self, _addr: u64) {}
@@ -344,7 +345,9 @@ impl MemModel for SpanRecorder {
 /// The motion-search charging pair: the candidate batch of one PAL ±8
 /// integer full search (the paper's window) charged through
 /// `access_candidates` vs its expansion charged as one `access_range`
-/// per span, both on a persistent O2 hierarchy. Only the charging is
+/// per span, both on a persistent O2 hierarchy. Beside it, two batches
+/// of candidates with no adjacent neighbour: a ±8 diamond search and
+/// the half-pel refinement of the full search. Only the charging is
 /// timed.
 fn bench_search_charging(r: &mut BenchRunner) {
     use m4ps_codec::{MotionSearch, SearchStrategy, TracedPlane};
@@ -366,26 +369,47 @@ fn bench_search_charging(r: &mut BenchRunner) {
         p
     };
     let (reference, cur) = (plane(0), plane(1));
-    let mut rec = SpanRecorder::default();
-    let search = MotionSearch::new(SearchStrategy::FullSearch, 8, false);
-    let _ = search.search(&mut rec, &cur, &reference, 20, 18);
-    let batch = rec.batch;
+    let batches = |strategy, half_pel| {
+        let mut rec = SpanRecorder::default();
+        let search = MotionSearch::new(strategy, 8, half_pel);
+        let _ = search.search(&mut rec, &cur, &reference, 20, 18);
+        rec.batches
+    };
+    let span_bytes = |batch: &[SearchCandidate]| {
+        let mut bytes = 0;
+        for c in batch {
+            c.for_each_span(|_, len| bytes += len);
+        }
+        bytes
+    };
+    let batch = batches(SearchStrategy::FullSearch, false).remove(0);
     let mut spans = Vec::new();
     for c in &batch {
         c.for_each_span(|addr, len| spans.push((addr, len)));
     }
-    let bytes: u64 = spans.iter().map(|&(_, len)| len).sum();
-
     let mut h = Hierarchy::new(MachineSpec::o2());
-    r.bench_bytes("memsim/search_batch", bytes, || {
-        h.access_candidates(black_box(&batch));
-    });
-    let mut h = Hierarchy::new(MachineSpec::o2());
-    r.bench_bytes("memsim/search_rows", bytes, || {
+    r.bench_bytes("memsim/search_rows", span_bytes(&batch), || {
         for &(addr, len) in black_box(&spans) {
             h.access_range(addr, len, AccessKind::Load, len);
         }
     });
+    let charged = [
+        ("memsim/search_batch", batch),
+        (
+            "memsim/search_batch_diamond",
+            batches(SearchStrategy::Diamond, false).remove(0),
+        ),
+        (
+            "memsim/search_batch_halfpel",
+            batches(SearchStrategy::FullSearch, true).remove(1),
+        ),
+    ];
+    for (name, batch) in charged {
+        let mut h = Hierarchy::new(MachineSpec::o2());
+        r.bench_bytes(name, span_bytes(&batch), || {
+            h.access_candidates(black_box(&batch));
+        });
+    }
 }
 
 /// Scene synthesis, the stand-in for reading a source frame from disk:

@@ -36,20 +36,31 @@ fn encode<M: ParallelModel>(mem: &mut M, slices: usize, threads: usize) -> Vec<u
 }
 
 fn encode_with<M: ParallelModel>(mem: &mut M, config: EncoderConfig, threads: usize) -> Vec<u8> {
+    encode_at(mem, config, threads, Resolution::QCIF)
+}
+
+/// Encodes `FRAMES` frames of a single-object scene at `resolution`.
+fn encode_at<M: ParallelModel>(
+    mem: &mut M,
+    config: EncoderConfig,
+    threads: usize,
+    resolution: Resolution,
+) -> Vec<u8> {
     let scene = Scene::new(SceneSpec {
-        resolution: Resolution::QCIF,
+        resolution,
         objects: 0,
         seed: 7,
     });
+    let (width, height) = (resolution.width, resolution.height);
     let mut space = AddressSpace::new();
-    let mut coder = VideoObjectCoder::new(&mut space, 176, 144, config).unwrap();
+    let mut coder = VideoObjectCoder::new(&mut space, width, height, config).unwrap();
     coder.set_threads(threads);
     let mut stream = coder.header_bytes();
     for t in 0..FRAMES {
         let f = scene.frame(t);
         let view = FrameView {
-            width: 176,
-            height: 144,
+            width,
+            height,
             y: &f.y,
             u: &f.u,
             v: &f.v,
@@ -191,6 +202,37 @@ fn every_search_shape_is_bit_identical_under_fast_and_naive_models() {
                     "{what}: no search was charged as a batch"
                 );
             }
+        }
+    }
+}
+
+/// The paper's configuration (full search ±8 with half-pel refinement,
+/// IBBP, rate control) charges every motion search through the
+/// first-touch reduction: no batch falls back to the per-span replay, on
+/// the O2 and the Onyx2. A fallback charges the same counters, so every
+/// identity suite would still pass; only its cost would show. Whether a
+/// batch fits depends on how its rows fall into L1 sets, so on the row
+/// stride: both QCIF and PAL (the paper's geometry) are encoded. Four
+/// frames code an I-, a P- and two B-VOPs.
+#[test]
+fn paper_config_encode_never_falls_back() {
+    let config = EncoderConfig::paper();
+    assert_eq!(config.search, SearchStrategy::FullSearch);
+    assert!(config.half_pel && config.gop.b_frames > 0);
+    for resolution in [Resolution::QCIF, Resolution::PAL] {
+        for machine in [MachineSpec::o2(), MachineSpec::onyx2()] {
+            let what = format!(
+                "{} {}x{}",
+                machine.name, resolution.width, resolution.height
+            );
+            let mut mem = Hierarchy::new(machine);
+            encode_at(&mut mem, config, 1, resolution);
+            let (batches, fallbacks) = mem.load_batch_stats();
+            assert!(batches > 0, "{what}: no batch charged");
+            assert_eq!(
+                fallbacks, 0,
+                "{what}: {fallbacks} of {batches} batches fell back"
+            );
         }
     }
 }

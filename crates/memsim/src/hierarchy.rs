@@ -87,6 +87,9 @@ struct LineStamp {
     epoch: u32,
 }
 
+/// Most candidates in one lane run: a row's lanes are the bits of a `u64`.
+const MAX_LANES: usize = 64;
+
 /// Position of span `slot` of candidate `cand` in a batch's charge order.
 /// A candidate has at most `2·rows + 1 < 2^33` spans, and a batch
 /// (a slice of 40-byte records) fewer than `2^31` candidates.
@@ -162,59 +165,67 @@ impl LineTable {
         false
     }
 
-    /// Stamps the reference rows of `cand`, candidate `c` of the batch,
-    /// each touch later than every touch stamped so far. Returns the
+    /// Stamps the reference rows of a lane run whose first candidate,
+    /// `head`, is candidate `start` of the batch (see
+    /// [`LoadBatch::collect`]). `segments` yields `(live, rows)` pairs:
+    /// the next `rows` reference rows are visited by the lanes set in
+    /// `live`. Lane `j` reads each row one byte to the right of lane
+    /// `j − 1`, so the live lanes of a row cover one contiguous byte
+    /// range, and each line of it is stamped once: it is touched at the
+    /// row's slot by the live lanes whose row meets it, first by the
+    /// lowest of them and last by the highest, once each. Returns the
     /// rows' line and page touches, or `None` once the batch has more
-    /// than `capacity` distinct lines. This is the hot loop (about 1,000
-    /// rows per ±8 search), so the table's fields are held in locals.
-    fn stamp_reference_rows(
+    /// than `capacity` distinct lines. The rows of a run of several
+    /// lanes must not reach the top of the address space; a single
+    /// lane's rows saturate there, as [`SearchCandidate::row_addr`] does.
+    fn stamp_lane_run(
         &mut self,
-        c: usize,
-        cand: &SearchCandidate,
+        start: usize,
+        head: &SearchCandidate,
+        segments: impl Iterator<Item = (u64, u32)>,
         line_shift: u32,
         page_shift: u32,
     ) -> Option<(u64, u64)> {
-        let (mask, epoch, capacity) = (self.mask, self.epoch, self.capacity);
-        let (entries, lines) = (&mut self.entries[..], &mut self.lines);
         let (mut line_touches, mut page_touches) = (0, 0);
-        let tail = u64::from(cand.ref_width.max(1)) - 1;
-        let mut addr = cand.reference;
-        for k in 0..cand.ref_rows() {
-            let pos = span_pos(c, ref_slot(k, cand.lead_row));
-            let end = addr.saturating_add(tail);
-            let (lo, hi) = (addr >> line_shift, end >> line_shift);
-            line_touches += hi - lo + 1;
-            page_touches += (end >> page_shift) - (addr >> page_shift) + 1;
-            let mut line = lo;
-            loop {
-                let mut i = line as usize & mask;
-                loop {
-                    let e = &mut entries[i];
-                    if e.epoch != epoch {
-                        *e = LineStamp {
-                            line,
-                            first: pos,
-                            last: pos,
-                            epoch,
-                        };
-                        lines.push(i as u32);
-                        if lines.len() > capacity {
-                            return None;
-                        }
-                        break;
+        let tail = u64::from(head.ref_width.max(1)) - 1;
+        let (mut k, mut base) = (0, head.reference);
+        for (live, rows) in segments {
+            let (low, high) = (live.trailing_zeros(), 63 - live.leading_zeros());
+            for k in k..k + rows {
+                let slot = ref_slot(k, head.lead_row);
+                let addr = base.saturating_add(u64::from(low));
+                let end = base.saturating_add(u64::from(high)).saturating_add(tail);
+                // The live lanes whose row `[base + j, base + j + tail]`
+                // meets the bytes `from..=from | (1 << shift) - 1`.
+                let meeting = |from: u64, shift: u32| {
+                    let j_lo = from.saturating_sub(base.saturating_add(tail));
+                    let j_hi = ((from | ((1 << shift) - 1)) - base).min(63);
+                    live & (u64::MAX << j_lo) & (u64::MAX >> (63 - j_hi))
+                };
+                let pages = (addr >> page_shift)..=(end >> page_shift);
+                if pages.start() == pages.end() {
+                    page_touches += u64::from(live.count_ones());
+                } else {
+                    for page in pages {
+                        let lanes = meeting(page << page_shift, page_shift);
+                        page_touches += u64::from(lanes.count_ones());
                     }
-                    if e.line == line {
-                        e.last = pos;
-                        break;
+                }
+                for line in (addr >> line_shift)..=(end >> line_shift) {
+                    let lanes = meeting(line << line_shift, line_shift);
+                    if lanes == 0 {
+                        continue;
                     }
-                    i = (i + 1) & mask;
+                    line_touches += u64::from(lanes.count_ones());
+                    let first = span_pos(start + lanes.trailing_zeros() as usize, slot);
+                    let last = span_pos(start + 63 - lanes.leading_zeros() as usize, slot);
+                    if !self.stamp(line, first, last) {
+                        return None;
+                    }
                 }
-                if line == hi {
-                    break;
-                }
-                line += 1;
+                base = base.saturating_add(head.stride);
             }
-            addr = addr.saturating_add(cand.stride);
+            k += rows;
         }
         Some((line_touches, page_touches))
     }
@@ -222,7 +233,7 @@ impl LineTable {
     /// Widens `line`'s touch interval to cover `first..=last`, adding the
     /// line on its first stamp. Returns `false` once the batch has more
     /// distinct lines than `capacity`.
-    #[inline]
+    #[inline(always)]
     fn stamp(&mut self, line: u64, first: u64, last: u64) -> bool {
         let mut i = line as usize & self.mask;
         loop {
@@ -273,17 +284,24 @@ struct LoadBatch {
     assoc: usize,
     line_shift: u32,
     page_shift: u32,
-    /// `(first touch, line number)` and `(last touch, line number)` of
-    /// the distinct lines, sorted to replay the first and last touches.
-    by_first: Vec<(u64, u64)>,
-    by_last: Vec<(u64, u64)>,
-    /// `(page number, rank of its last touch)` in first-touch order.
-    pages: Vec<(u64, usize)>,
+    /// Per L1 set, `assoc` slots: the table entries of the set's batch
+    /// lines, as many as `set_meta` counts.
+    set_lines: Vec<u32>,
+    /// The L1 sets holding batch lines.
+    sets: Vec<u32>,
+    /// `(first touch, line number, writeback)` of each line whose first
+    /// touch missed the L1, with the dirty victim it evicted.
+    misses: Vec<(u64, u64, Option<u64>)>,
+    /// `(page number, first touch, last touch)` of the distinct pages.
+    pages: Vec<(u64, u64, u64)>,
     /// Per current-block row of a run: the first candidate visiting it,
     /// then either the latest candidate with exactly `r + 1` rows and
     /// their count, or (once the run ends) the last candidate visiting
     /// the row and how many do.
     cover: Vec<(usize, usize, u64)>,
+    /// Per reference-row count: the lanes of the current lane run that
+    /// visit exactly that many reference rows.
+    drops: Vec<u64>,
     /// Line and page touches of the per-span replay.
     line_touches: u64,
     page_touches: u64,
@@ -300,6 +318,7 @@ impl LoadBatch {
         if self.set_meta.is_empty() {
             self.table = LineTable::new(sets as usize * assoc);
             self.set_meta = vec![0; sets as usize];
+            self.set_lines = vec![0; sets as usize * assoc];
             self.set_mask = sets - 1;
             self.assoc = assoc;
             self.line_shift = line_shift;
@@ -309,6 +328,7 @@ impl LoadBatch {
             self.set_meta.fill(0);
         }
         self.cover.clear();
+        self.sets.clear();
         self.line_touches = 0;
         self.page_touches = 0;
         self.batches += 1;
@@ -318,43 +338,114 @@ impl LoadBatch {
     /// of [`LineStamp`], then checks that no L1 set receives more than
     /// `assoc` distinct lines. Returns `None` when it does.
     ///
-    /// Reference rows are stamped candidate by candidate. The current
-    /// block's rows are the same for every candidate of a run sharing
-    /// one block, so each is stamped once per run: its first touch is
-    /// the first candidate that visits the row, its last touch the last
-    /// one, and it is touched once per candidate that visits it.
+    /// Reference rows are stamped a lane run at a time: consecutive
+    /// candidates sharing the current block (and so the stride), the
+    /// reference width and the leading-row flag whose references are one
+    /// byte apart, at most [`MAX_LANES`] of them, as the full search
+    /// walks each row of its window. A candidate with no such neighbour
+    /// is a run of one lane. The current block's rows are the same for
+    /// every candidate of a run sharing one block, so each is stamped
+    /// once per block run: its first touch is the first candidate that
+    /// visits the row, its last touch the last one, and it is touched
+    /// once per candidate that visits it. Every stamp widens its line's
+    /// touch interval, so the order of the stamps does not matter. The
+    /// set check also lists each set's lines for [`Hierarchy::charge_batch`].
     fn collect(&mut self, batch: &[SearchCandidate]) -> Option<()> {
         let block = |c: &SearchCandidate| (c.cur, c.stride, c.cur_width);
-        let mut run = 0;
+        let (mut run, mut lanes) = (0, 0);
         for (c, cand) in batch.iter().enumerate() {
-            if block(cand) != block(&batch[run]) {
-                self.touch_current(&batch[run..c], run)?;
-                run = c;
+            if c > 0 {
+                let prev = &batch[c - 1];
+                let new_block = block(cand) != block(prev);
+                if new_block
+                    || c - lanes == MAX_LANES
+                    || (cand.ref_width, cand.lead_row) != (prev.ref_width, prev.lead_row)
+                    || prev.reference.checked_add(1) != Some(cand.reference)
+                {
+                    self.stamp_lanes(&batch[lanes..c], lanes)?;
+                    lanes = c;
+                }
+                if new_block {
+                    self.touch_current(&batch[run..c], run)?;
+                    run = c;
+                }
             }
             self.cover_rows(c - run, cand.rows);
-            // Every touch stamped so far, current rows of earlier runs
-            // included, precedes this candidate's reference rows.
-            let (lines, pages) =
-                self.table
-                    .stamp_reference_rows(c, cand, self.line_shift, self.page_shift)?;
-            self.line_touches += lines;
-            self.page_touches += pages;
         }
+        self.stamp_lanes(&batch[lanes..], lanes)?;
         self.touch_current(&batch[run..], run)?;
         let epoch = self.table.epoch;
-        for e in self.table.iter() {
-            let set = (e.line & self.set_mask) as usize;
+        for &i in &self.table.lines {
+            let set = (self.table.entries[i as usize].line & self.set_mask) as usize;
             let meta = self.set_meta[set];
             let n = if (meta >> 32) as u32 == epoch {
                 meta as u32 as usize
             } else {
+                self.sets.push(set as u32);
                 0
             };
             if n == self.assoc {
                 return None;
             }
             self.set_meta[set] = (u64::from(epoch) << 32) | (n as u64 + 1);
+            self.set_lines[set * self.assoc + n] = i;
         }
+        Some(())
+    }
+
+    /// Stamps the reference rows of the lane run `run`, candidates
+    /// `offset..` of the batch. Lane `j` visits reference rows
+    /// `0..ref_rows`, so the rows split into segments at the lanes' row
+    /// counts, each visited by the lanes not yet dropped out. A run of
+    /// several lanes whose last row would reach the top of the address
+    /// space, where row addresses saturate and stop being one byte
+    /// apart, is stamped lane by lane.
+    fn stamp_lanes(&mut self, run: &[SearchCandidate], offset: usize) -> Option<()> {
+        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
+        let head = &run[0];
+        let (lines, pages) = if run.len() == 1 {
+            let rows = std::iter::once((1, head.ref_rows()));
+            self.table
+                .stamp_lane_run(offset, head, rows, line_shift, page_shift)?
+        } else {
+            let last = &run[run.len() - 1];
+            let rows = run.iter().map(SearchCandidate::ref_rows).max().unwrap_or(0);
+            let top = u64::from(rows.saturating_sub(1))
+                .checked_mul(last.stride)
+                .and_then(|d| last.reference.checked_add(d))
+                .and_then(|a| a.checked_add(u64::from(last.ref_width)));
+            if top.is_none() {
+                for (j, c) in run.iter().enumerate() {
+                    self.stamp_lanes(std::slice::from_ref(c), offset + j)?;
+                }
+                return Some(());
+            }
+            // `drops[r]`: the lanes with `r` reference rows.
+            let drops = &mut self.drops;
+            drops.clear();
+            drops.resize(rows as usize + 1, 0);
+            for (j, c) in run.iter().enumerate() {
+                drops[c.ref_rows() as usize] |= 1 << j;
+            }
+            let mut live = (u64::MAX >> (64 - run.len())) & !drops[0];
+            let mut k = 0;
+            let segments = std::iter::from_fn(|| {
+                let from = k;
+                while k < rows {
+                    k += 1;
+                    if drops[k as usize] != 0 {
+                        break;
+                    }
+                }
+                let segment = (live, k - from);
+                live &= !drops[k as usize];
+                (k > from).then_some(segment)
+            });
+            self.table
+                .stamp_lane_run(offset, head, segments, line_shift, page_shift)?
+        };
+        self.line_touches += lines;
+        self.page_touches += pages;
         Some(())
     }
 
@@ -408,37 +499,38 @@ impl LoadBatch {
         Some(())
     }
 
-    /// Sorts the lines by first touch and by last touch, and derives
-    /// the batch's distinct pages from them — a span touches a
-    /// page exactly when it touches one of the page's lines, and a line
-    /// lies in one page — in first-touch order. Returns `false` when the
-    /// batch has as many distinct pages as the TLB has entries.
-    fn order(&mut self, tlb_entries: usize) -> bool {
+    /// Derives the batch's distinct pages, each with its first and last
+    /// touch, from the lines in one pass: a span touches a page exactly
+    /// when it touches one of the page's lines, and a line lies in one
+    /// page. Consecutive lines mostly share a page, so the previous
+    /// line's page is checked first. Sorts the pages by first touch.
+    /// Returns `false` when the batch has as many distinct pages as the
+    /// TLB has entries.
+    fn order_pages(&mut self, tlb_entries: usize) -> bool {
         let line_to_page = self.page_shift - self.line_shift;
-        self.by_first.clear();
-        self.by_last.clear();
-        for e in self.table.iter() {
-            self.by_first.push((e.first, e.line));
-            self.by_last.push((e.last, e.line));
-        }
-        self.by_first.sort_unstable();
-        self.by_last.sort_unstable();
         self.pages.clear();
-        for &(_, line) in &self.by_first {
-            let page = line >> line_to_page;
-            if !self.pages.iter().any(|&(p, _)| p == page) {
-                if self.pages.len() + 1 >= tlb_entries {
-                    return false;
+        let mut at = 0;
+        for e in self.table.iter() {
+            let page = e.line >> line_to_page;
+            if self.pages.get(at).map(|p| p.0) != Some(page) {
+                match self.pages.iter().position(|p| p.0 == page) {
+                    Some(j) => at = j,
+                    None => {
+                        if self.pages.len() + 1 >= tlb_entries {
+                            return false;
+                        }
+                        at = self.pages.len();
+                        self.pages.push((page, e.first, e.last));
+                        continue;
+                    }
                 }
-                self.pages.push((page, 0));
             }
+            let p = &mut self.pages[at];
+            p.1 = p.1.min(e.first);
+            p.2 = p.2.max(e.last);
         }
-        for (rank, &(_, line)) in self.by_last.iter().enumerate() {
-            let page = line >> line_to_page;
-            if let Some(p) = self.pages.iter_mut().find(|p| p.0 == page) {
-                p.1 = rank;
-            }
-        }
+        self.pages
+            .sort_unstable_by_key(|&(page, first, _)| (first, page));
         true
     }
 }
@@ -579,16 +671,22 @@ impl Hierarchy {
         self.mru_line = addr >> self.l1_shift;
         self.mru_line_dirty = write;
         let r1 = self.l1.probe(addr, write);
-        if r1.hit {
-            return;
+        if !r1.hit {
+            self.fill_line(addr, r1.writeback_of, demand);
         }
+    }
+
+    /// The rest of an L1 miss on the line at `addr`: its demand
+    /// tallies, the L2 write of the dirty victim `writeback_of`, and the
+    /// refill from L2 (and DRAM).
+    fn fill_line(&mut self, addr: u64, writeback_of: Option<u64>, demand: bool) {
         if demand {
             self.counters.l1_misses += 1;
             if let Some(idx) = self.region_of(addr) {
                 self.region_l1[idx] += 1;
             }
         }
-        if let Some(victim) = r1.writeback_of {
+        if let Some(victim) = writeback_of {
             // Dirty L1 line drains to L2; it is a write touch of L2.
             self.counters.l1_writebacks += 1;
             let wb = self.l2.probe(victim, true);
@@ -669,14 +767,16 @@ impl Hierarchy {
     }
 
     /// TLB walks + line probes for a candidate batch: one probe per
-    /// distinct page and line in first-touch order, then one restamp
-    /// each in last-touch order. Loads never dirty a line, and with at
-    /// most `assoc` distinct batch lines per L1 set (and fewer distinct
-    /// pages than TLB entries) no batch line is evicted before the batch
-    /// ends, so every miss, victim and writeback of the per-span replay
-    /// falls on a first touch; DESIGN.md §11 gives the full argument.
-    /// Returns `false`, having changed nothing, when that precondition
-    /// fails.
+    /// distinct page and line at its first touch, then one restamp at
+    /// its last touch where that changes the recency order. Loads never
+    /// dirty a line, and with at most `assoc` distinct batch lines per L1
+    /// set (and fewer distinct pages than TLB entries) no batch line is
+    /// evicted before the batch ends, so every miss, victim and writeback
+    /// of the per-span replay falls on a first touch. L1 sets are
+    /// independent, so each set's lines are probed and restamped on
+    /// their own; only the misses reach L2, in first-touch order.
+    /// DESIGN.md §11 gives the full argument. Returns `false`, having
+    /// changed nothing, when that precondition fails.
     fn charge_batch(&mut self, batch: &[SearchCandidate]) -> bool {
         if self.page_shift < self.l1_shift {
             return false; // a line would straddle pages
@@ -690,33 +790,69 @@ impl Hierarchy {
         if self.batch.collect(batch).is_none() {
             return false;
         }
-        if !self.batch.order(self.machine.tlb.entries) {
+        if !self.batch.order_pages(self.machine.tlb.entries) {
             return false;
         }
-        // First touches, in first-touch order.
+        // Pages: first touches in first-touch order, then last touches
+        // in last-touch order (the TLB is one fully associative set).
         for i in 0..self.batch.pages.len() {
             if !self.tlb.lookup(self.batch.pages[i].0 << self.page_shift) {
                 self.counters.tlb_misses += 1;
             }
         }
-        for i in 0..self.batch.by_first.len() {
-            let line = self.batch.by_first[i].1;
-            self.probe_line(line << self.l1_shift, false, true);
-        }
-        // Last touches, in last-touch order.
-        self.batch.pages.sort_unstable_by_key(|&(_, rank)| rank);
-        for &(page, _) in &self.batch.pages {
+        self.batch
+            .pages
+            .sort_unstable_by_key(|&(page, _, last)| (last, page));
+        for &(page, _, _) in &self.batch.pages {
             self.tlb.restamp(page << self.page_shift);
         }
-        for &(_, line) in &self.batch.by_last {
-            self.l1.restamp(line << self.l1_shift);
+        // Lines, set by set: first touches in first-touch order, then,
+        // unless that already is the last-touch order, last touches in
+        // last-touch order. Replacement compares recency only within a
+        // set.
+        let LoadBatch {
+            table,
+            set_meta,
+            set_lines,
+            sets,
+            misses,
+            assoc,
+            ..
+        } = &mut self.batch;
+        misses.clear();
+        for &set in sets.iter() {
+            let n = set_meta[set as usize] as u32 as usize;
+            let ways = &mut set_lines[set as usize * *assoc..][..n];
+            let entry = |i: u32| &table.entries[i as usize];
+            ways.sort_unstable_by_key(|&i| (entry(i).first, entry(i).line));
+            for &i in ways.iter() {
+                let e = entry(i);
+                let r = self.l1.probe(e.line << self.l1_shift, false);
+                if !r.hit {
+                    misses.push((e.first, e.line, r.writeback_of));
+                }
+            }
+            let last = |i: u32| (entry(i).last, entry(i).line);
+            if ways.windows(2).any(|w| last(w[0]) > last(w[1])) {
+                ways.sort_unstable_by_key(|&i| last(i));
+                for &i in ways.iter() {
+                    self.l1.restamp(entry(i).line << self.l1_shift);
+                }
+            }
+        }
+        // L1 misses probe L2 in first-touch order.
+        misses.sort_unstable_by_key(|&(first, line, _)| (first, line));
+        for i in 0..self.batch.misses.len() {
+            let (_, line, writeback_of) = self.batch.misses[i];
+            self.fill_line(line << self.l1_shift, writeback_of, true);
         }
         // Every other touch is a hit.
         self.tlb
             .filtered_hits(self.batch.page_touches - self.batch.pages.len() as u64);
         self.l1
             .filtered_hits(self.batch.line_touches - self.batch.table.len() as u64);
-        // The restamps moved recency behind the MRU filter's back.
+        // The probes and restamps moved recency behind the MRU filter's
+        // back.
         self.mru_line = u64::MAX;
         self.mru_line_dirty = false;
         self.mru_page = u64::MAX;

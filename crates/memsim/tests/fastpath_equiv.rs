@@ -776,3 +776,127 @@ fn search_shaped_batches_are_counter_identical() {
         "no batch took the first-touch path ({batches} batches)"
     );
 }
+
+/// A row of `lanes` adjacent candidates for one current block, their
+/// references one byte apart from `reference`, with visited rows
+/// drawn from `rows` in turn (so lanes drop out at mixed depths).
+fn lane_row(
+    cur: u64,
+    reference: u64,
+    stride: u64,
+    lanes: u64,
+    rows: &[u32],
+) -> Vec<SearchCandidate> {
+    (0..lanes)
+        .map(|j| cand(cur, reference + j, stride, rows[j as usize % rows.len()]))
+        .collect()
+}
+
+/// Lane runs (adjacent candidates whose reference rows are stamped once
+/// per row) at their edges, on the small machine and the O2, each
+/// against the per-span replay and each asserting that the first-touch
+/// path ran. Current and reference rows lie 16 KB apart, so they share
+/// L1 sets on both machines. After the batch, one load 32 KB from each
+/// current row evicts the least recently used line of its set, and a
+/// re-read of every span then attributes the miss to the current or the
+/// reference region: the order of the batch's last touches shows.
+#[test]
+fn pinned_lane_runs() {
+    const WAY: u64 = 0x4000;
+    let top = u64::MAX - 200;
+    let scripts: Vec<(&str, Vec<SearchCandidate>)> = vec![
+        (
+            // A full-search row at dy = 0: the zero vector was scored
+            // first, so the row is two runs of 8 around a 2-byte gap.
+            "zero vector split",
+            (-8i64..=8)
+                .filter(|&dx| dx != 0)
+                .map(|dx| {
+                    let rows = 1 + (dx.unsigned_abs() % 4) as u32;
+                    cand(0x1000, (0x1008 + WAY).wrapping_add_signed(dx), 64, rows)
+                })
+                .collect(),
+        ),
+        // A ±15 row: 31 lanes, with holes in the live lanes of each row.
+        (
+            "31 lanes",
+            lane_row(0x1000, 0x1000 + WAY, 64, 31, &[1, 3, 2, 4, 1, 1, 3]),
+        ),
+        // 70 lanes: longer than one run may be, so split in two.
+        (
+            "70 lanes",
+            lane_row(0x1000, 0x1000 + WAY, 128, 70, &[2, 1, 3, 1]),
+        ),
+        // A stride below the line size: consecutive rows share lines.
+        (
+            "rows share lines",
+            lane_row(0x1000, 0x1004 + WAY, 8, 7, &[6, 2, 5, 1, 4, 3, 6]),
+        ),
+        // Lanes on both sides of the page boundary at 0x8000, and lanes
+        // whose rows straddle it.
+        (
+            "page straddle",
+            lane_row(0x3ff0, 0x3ff0 + WAY, 64, 20, &[2, 1, 2]),
+        ),
+        (
+            // Horizontal and vertical half-pel lanes: 17-byte rows and a
+            // leading reference row.
+            "17 wide with leading row",
+            lane_row(0x1000, 0x1000 + WAY, 64, 9, &[3, 1, 4, 2])
+                .into_iter()
+                .map(|c| SearchCandidate {
+                    ref_width: 17,
+                    lead_row: true,
+                    ..c
+                })
+                .collect(),
+        ),
+        (
+            // Rows that stay below the top of the address space, and
+            // rows that would pass it, where row addresses saturate: that
+            // run is stamped lane by lane.
+            "address top",
+            [
+                lane_row(top % WAY, top, 64, 4, &[2, 3]),
+                lane_row(top % WAY, top + 150, 64, 5, &[3, 1, 2]),
+            ]
+            .concat(),
+        ),
+    ];
+    let regions = [
+        Region {
+            tag: "cur".into(),
+            base: 0,
+            bytes: 0x4800,
+        },
+        Region {
+            tag: "ref".into(),
+            base: 0x4800,
+            bytes: u64::MAX - 0x4800,
+        },
+    ];
+    for (name, batch) in &scripts {
+        for machine in [small_machine(), MachineSpec::o2()] {
+            let mut fast = Hierarchy::new(machine.clone());
+            let mut naive = NaiveHierarchy::new(machine);
+            fast.attach_regions(&regions);
+            naive.attach_regions(&regions);
+            let mut ops = vec![
+                Op::Range(batch[0].cur, 8, AccessKind::Store, 1),
+                Op::Range(batch[0].reference ^ (2 * WAY), 8, AccessKind::Store, 1),
+                Op::Candidates(batch.clone()),
+            ];
+            let spans = spans_of(batch);
+            for &(a, _) in spans.iter().filter(|&&(a, _)| a < 0x4800) {
+                ops.push(Op::Range(a ^ (2 * WAY), 8, AccessKind::Load, 1));
+            }
+            for &(a, l) in &spans {
+                ops.push(Op::Range(a, l, AccessKind::Load, l));
+            }
+            apply(&mut fast, &ops);
+            apply(&mut naive, &ops);
+            assert_models_equal(&fast, &naive);
+            assert_eq!(fast.load_batch_stats(), (1, 0), "{name}: wrong path");
+        }
+    }
+}
