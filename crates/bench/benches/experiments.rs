@@ -9,6 +9,7 @@
 
 use m4ps_bench::{run_experiment, Options, ALL_EXPERIMENTS};
 use m4ps_codec::SearchStrategy;
+use m4ps_core::study::Cells;
 use m4ps_testkit::bench::{BenchOptions, BenchRunner};
 
 fn bench_opts() -> Options {
@@ -29,8 +30,11 @@ fn main() {
     let mut r = BenchRunner::with_options("experiments", opts);
     let run_opts = bench_opts();
     for e in ALL_EXPERIMENTS {
+        // A fresh cell store per iteration, so each sample times the
+        // experiment cold.
         r.bench(&format!("experiments/{}", e.name), || {
-            let out = run_experiment(e.name, &run_opts).expect("known experiment");
+            let out =
+                run_experiment(e.name, &run_opts, &mut Cells::default()).expect("known experiment");
             assert!(!out.is_empty());
             out.len()
         });

@@ -6,6 +6,7 @@
 //! ```
 
 use m4ps_bench::{run_experiment, Options, ALL_EXPERIMENTS};
+use m4ps_core::study::Cells;
 
 fn main() {
     let (opts, targets) = match Options::parse(std::env::args().skip(1)) {
@@ -28,8 +29,11 @@ fn main() {
     } else {
         targets.iter().map(|s| s.as_str()).collect()
     };
+    // One cell store for the whole invocation: a cell several
+    // experiments print is simulated once.
+    let mut cells = Cells::default();
     for name in names {
-        match run_experiment(name, &opts) {
+        match run_experiment(name, &opts, &mut cells) {
             Some(report) => {
                 println!("{report}");
                 println!("{}", "=".repeat(78));

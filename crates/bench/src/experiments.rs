@@ -2,12 +2,10 @@
 
 use crate::cli::Options;
 use m4ps_core::baseline::{run_resident, run_streaming, StreamingKernel};
-use m4ps_core::burst::burstiness;
+use m4ps_core::burst::BurstReport;
 use m4ps_core::fallacy;
-use m4ps_core::report::{render_phase_table, render_table, METRIC_ROWS};
-use m4ps_core::study::{
-    decode_study, encode_study, prepare_streams, RunResult, StudyConfig, Workload,
-};
+use m4ps_core::report::{render_phase_table, render_table};
+use m4ps_core::study::{Cells, RunResult, StudyConfig, Workload};
 use m4ps_memsim::{MachineSpec, MemoryMetrics};
 use m4ps_vidgen::Resolution;
 
@@ -18,8 +16,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces.
     pub description: &'static str,
-    /// Generator returning the rendered report.
-    pub run: fn(&Options) -> String,
+    /// Generator returning the rendered report; it reads every study
+    /// run from the invocation's [`Cells`].
+    pub run: fn(&Options, &mut Cells) -> String,
 }
 
 /// Every experiment, in paper order.
@@ -138,20 +137,17 @@ pub const ALL_EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// Runs the experiment named `name`, if it exists.
-pub fn run_experiment(name: &str, opts: &Options) -> Option<String> {
+/// Runs the experiment named `name`, if it exists, reading its study
+/// runs from `cells` (and simulating into it the cells it lacks).
+pub fn run_experiment(name: &str, opts: &Options, cells: &mut Cells) -> Option<String> {
     ALL_EXPERIMENTS
         .iter()
         .find(|e| e.name == name)
-        .map(|e| (e.run)(opts))
+        .map(|e| (e.run)(opts, cells))
 }
 
 fn config(opts: &Options) -> StudyConfig {
     StudyConfig::paper().with_search(opts.search, opts.search_range)
-}
-
-fn machines() -> Vec<MachineSpec> {
-    MachineSpec::study_machines()
 }
 
 fn workload(opts: &Options, resolution: Resolution, objects: usize, layers: usize) -> Workload {
@@ -171,15 +167,37 @@ fn run_note(opts: &Options) -> String {
     )
 }
 
-/// Encoding table over both paper resolutions and all three machines.
-fn encode_table(title: &str, opts: &Options, objects: usize, layers: usize) -> String {
+/// The encode run of a cell, or its decode run when `decode`.
+fn study_run(
+    cells: &mut Cells,
+    decode: bool,
+    machine: &MachineSpec,
+    w: &Workload,
+    cfg: &StudyConfig,
+) -> RunResult {
+    if decode {
+        cells.decode(machine, w, cfg).expect("decode run")
+    } else {
+        cells.encode(machine, w, cfg).expect("encode run")
+    }
+}
+
+/// Encoding (or, when `decode`, decoding) table over both paper
+/// resolutions and all three machines.
+fn study_table(
+    title: &str,
+    opts: &Options,
+    cells: &mut Cells,
+    decode: bool,
+    (objects, layers): (usize, usize),
+) -> String {
     let cfg = config(opts);
     let mut out = run_note(opts);
     for res in [Resolution::PAL, Resolution::XGA] {
         let w = workload(opts, res, objects, layers);
-        let runs: Vec<RunResult> = machines()
+        let runs: Vec<RunResult> = MachineSpec::study_machines()
             .iter()
-            .map(|m| encode_study(m, &w, &cfg).expect("encode run"))
+            .map(|m| study_run(cells, decode, m, &w, &cfg))
             .collect();
         let cols: Vec<(String, &MemoryMetrics)> = runs
             .iter()
@@ -191,49 +209,24 @@ fn encode_table(title: &str, opts: &Options, objects: usize, layers: usize) -> S
             &format!("{title} — {}x{} pixels", res.width, res.height),
             &cols_ref,
         ));
+        let first = &runs[0];
         out.push_str(&format!(
-            "resident memory: {} MB; bitstream: {} bytes; candidates: {}\n\n",
-            runs[0].resident_bytes / 1_000_000,
-            runs[0].session.bytes,
-            runs[0].session.totals.candidates
+            "resident memory: {} MB; bitstream: {} bytes",
+            first.resident_bytes / 1_000_000,
+            first.session.bytes
         ));
+        if !decode {
+            let candidates = first.session.totals.candidates;
+            out.push_str(&format!("; candidates: {candidates}"));
+        }
+        out.push_str("\n\n");
     }
     out
 }
 
-/// Decoding table over both paper resolutions and all three machines.
-fn decode_table(title: &str, opts: &Options, objects: usize, layers: usize) -> String {
-    let cfg = config(opts);
-    let mut out = run_note(opts);
-    for res in [Resolution::PAL, Resolution::XGA] {
-        let w = workload(opts, res, objects, layers);
-        let streams = prepare_streams(&w, &cfg).expect("stream prep");
-        let runs: Vec<RunResult> = machines()
-            .iter()
-            .map(|m| decode_study(m, &w, &streams).expect("decode run"))
-            .collect();
-        let cols: Vec<(String, &MemoryMetrics)> = runs
-            .iter()
-            .map(|r| (r.machine.column_label(), &r.metrics))
-            .collect();
-        let cols_ref: Vec<(&str, &MemoryMetrics)> =
-            cols.iter().map(|(n, m)| (n.as_str(), *m)).collect();
-        out.push_str(&render_table(
-            &format!("{title} — {}x{} pixels", res.width, res.height),
-            &cols_ref,
-        ));
-        out.push_str(&format!(
-            "resident memory: {} MB; bitstream: {} bytes\n\n",
-            runs[0].resident_bytes / 1_000_000,
-            runs[0].session.bytes
-        ));
-    }
-    out
-}
-
-fn table1(_opts: &Options) -> String {
+fn table1(_opts: &Options, _cells: &mut Cells) -> String {
     let mut out = String::from("## Table 1: Common Platform Highlights\n\n");
-    for m in machines() {
+    for m in MachineSpec::study_machines() {
         out.push_str(&format!(
             "{:28} {} @ {} MHz, L1D {} KB {}-way/{} B lines, L2 {} MB {}-way/{} B lines\n",
             m.name,
@@ -247,7 +240,7 @@ fn table1(_opts: &Options) -> String {
             m.l2.line_bytes,
         ));
     }
-    let d = machines()[0].dram;
+    let d = MachineSpec::study_machines()[0].dram;
     out.push_str(&format!(
         "system bus: {} bits, {} MHz, split transaction; {}-way interleaved SDRAM\n",
         d.bus_bits, d.bus_mhz, d.interleave
@@ -260,68 +253,81 @@ fn table1(_opts: &Options) -> String {
     out
 }
 
-fn table2(opts: &Options) -> String {
-    encode_table(
+fn table2(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 2: Video Encoding, One Visual Object, One Layer",
         opts,
-        0,
-        1,
+        cells,
+        false,
+        (0, 1),
     )
 }
 
-fn table3(opts: &Options) -> String {
-    decode_table(
+fn table3(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 3: Video Decoding, One Visual Object, One Layer",
         opts,
-        0,
-        1,
+        cells,
+        true,
+        (0, 1),
     )
 }
 
-fn table4(opts: &Options) -> String {
-    encode_table(
+fn table4(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 4: Video Encoding, Three Visual Objects, One Layer Each",
         opts,
-        3,
-        1,
+        cells,
+        false,
+        (3, 1),
     )
 }
 
-fn table5(opts: &Options) -> String {
-    decode_table(
+fn table5(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 5: Video Decoding, Three Visual Objects, One Layer Each",
         opts,
-        3,
-        1,
+        cells,
+        true,
+        (3, 1),
     )
 }
 
-fn table6(opts: &Options) -> String {
-    encode_table(
+fn table6(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 6: Video Encoding, Three Visual Objects, Two Layers Each",
         opts,
-        3,
-        2,
+        cells,
+        false,
+        (3, 2),
     )
 }
 
-fn table7(opts: &Options) -> String {
-    decode_table(
+fn table7(opts: &Options, cells: &mut Cells) -> String {
+    study_table(
         "Table 7: Video Decoding, Three Visual Objects, Two Layers Each",
         opts,
-        3,
-        2,
+        cells,
+        true,
+        (3, 2),
     )
 }
 
-fn table8(opts: &Options) -> String {
+fn table8(opts: &Options, cells: &mut Cells) -> String {
     let cfg = config(opts);
     let machine = MachineSpec::onyx2();
     let mut out = run_note(opts);
     out.push_str("## Table 8: VopEncode/VopDecode vs whole program (R12K, 8MB L2)\n\n");
     for res in [Resolution::PAL, Resolution::XGA] {
         let w = workload(opts, res, 0, 1);
-        let (enc, dec) = burstiness(&machine, &w, &cfg).expect("burstiness run");
+        let enc = BurstReport::new(
+            "VopEncode",
+            &cells.encode(&machine, &w, &cfg).expect("encode run"),
+        );
+        let dec = BurstReport::new(
+            "VopDecode",
+            &cells.decode(&machine, &w, &cfg).expect("decode run"),
+        );
         out.push_str(&format!("### {}x{} pixels\n", res.width, res.height));
         for rep in [&enc, &dec] {
             out.push_str(&format!(
@@ -347,7 +353,7 @@ fn table8(opts: &Options) -> String {
     out
 }
 
-fn fig2(opts: &Options) -> String {
+fn fig2(opts: &Options, cells: &mut Cells) -> String {
     let cfg = config(opts);
     let machine = MachineSpec::o2(); // the 1 MB L2 platform
     let mut out = run_note(opts);
@@ -363,8 +369,7 @@ fn fig2(opts: &Options) -> String {
         Resolution::HUGE,
     ] {
         let w = workload(opts, res, 0, 1);
-        let streams = prepare_streams(&w, &cfg).expect("stream prep");
-        let run = decode_study(&machine, &w, &streams).expect("decode run");
+        let run = cells.decode(&machine, &w, &cfg).expect("decode run");
         out.push_str(&format!(
             "{:>12} {:>14} {:>14} {:>14} {:>14}\n",
             format!("{}x{}", res.width, res.height),
@@ -380,7 +385,7 @@ fn fig2(opts: &Options) -> String {
 /// Shared driver for Figures 3 and 4: miss rates for the three
 /// object/layer configurations, encode and decode, both sizes, on the
 /// R10K/2MB machine.
-fn fig34(opts: &Options, l2: bool) -> String {
+fn fig34(opts: &Options, cells: &mut Cells, l2: bool) -> String {
     let cfg = config(opts);
     let machine = MachineSpec::onyx_vtx();
     let mut out = run_note(opts);
@@ -392,38 +397,33 @@ fn fig34(opts: &Options, l2: bool) -> String {
     for res in [Resolution::PAL, Resolution::XGA] {
         for mode in ["encoding", "decoding"] {
             out.push_str(&format!("{}x{} {mode}: ", res.width, res.height));
-            let mut cells = Vec::new();
+            let mut rates = Vec::new();
             for (objects, layers) in [(0usize, 1usize), (3, 1), (3, 2)] {
                 let w = workload(opts, res, objects, layers);
-                let run = if mode == "encoding" {
-                    encode_study(&machine, &w, &cfg).expect("encode run")
-                } else {
-                    let streams = prepare_streams(&w, &cfg).expect("stream prep");
-                    decode_study(&machine, &w, &streams).expect("decode run")
-                };
+                let run = study_run(cells, mode == "decoding", &machine, &w, &cfg);
                 let rate = if l2 {
                     run.metrics.l2_miss_rate
                 } else {
                     run.metrics.l1_miss_rate
                 };
-                cells.push(format!("{}={:.3}%", w.label(), rate * 100.0));
+                rates.push(format!("{}={:.3}%", w.label(), rate * 100.0));
             }
-            out.push_str(&cells.join("  "));
+            out.push_str(&rates.join("  "));
             out.push('\n');
         }
     }
     out
 }
 
-fn fig3(opts: &Options) -> String {
-    fig34(opts, false)
+fn fig3(opts: &Options, cells: &mut Cells) -> String {
+    fig34(opts, cells, false)
 }
 
-fn fig4(opts: &Options) -> String {
-    fig34(opts, true)
+fn fig4(opts: &Options, cells: &mut Cells) -> String {
+    fig34(opts, cells, true)
 }
 
-fn fallacies(opts: &Options) -> String {
+fn fallacies(opts: &Options, cells: &mut Cells) -> String {
     let cfg = config(opts);
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
@@ -433,9 +433,8 @@ fn fallacies(opts: &Options) -> String {
     let mut base_runs = Vec::new();
     for res in [Resolution::PAL, Resolution::XGA] {
         let w = workload(opts, res, 0, 1);
-        base_runs.push(encode_study(&machine, &w, &cfg).expect("encode run"));
-        let streams = prepare_streams(&w, &cfg).expect("stream prep");
-        base_runs.push(decode_study(&machine, &w, &streams).expect("decode run"));
+        base_runs.push(cells.encode(&machine, &w, &cfg).expect("encode run"));
+        base_runs.push(cells.decode(&machine, &w, &cfg).expect("decode run"));
     }
 
     // Image-size series (decode, 1 MB).
@@ -447,8 +446,7 @@ fn fallacies(opts: &Options) -> String {
         Resolution::HUGE,
     ] {
         let w = workload(opts, res, 0, 1);
-        let streams = prepare_streams(&w, &cfg).expect("stream prep");
-        size_runs.push(decode_study(&machine, &w, &streams).expect("decode run"));
+        size_runs.push(cells.decode(&machine, &w, &cfg).expect("decode run"));
     }
 
     // Objects/layers series (decode, 2 MB, XGA — the paper's Figure 3/4 context).
@@ -456,8 +454,7 @@ fn fallacies(opts: &Options) -> String {
     let mut obj_runs = Vec::new();
     for (objects, layers) in [(0usize, 1usize), (3, 1), (3, 2)] {
         let w = workload(opts, Resolution::XGA, objects, layers);
-        let streams = prepare_streams(&w, &cfg).expect("stream prep");
-        obj_runs.push(decode_study(&vtx, &w, &streams).expect("decode run"));
+        obj_runs.push(cells.decode(&vtx, &w, &cfg).expect("decode run"));
     }
 
     for verdict in [
@@ -481,13 +478,13 @@ fn fallacies(opts: &Options) -> String {
     out
 }
 
-fn contrast(opts: &Options) -> String {
+fn contrast(opts: &Options, cells: &mut Cells) -> String {
     let cfg = config(opts);
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
     out.push_str("## Contrast: the codec vs a true streaming kernel (same hierarchy)\n\n");
     let w = workload(opts, Resolution::PAL, 0, 1);
-    let codec = encode_study(&machine, &w, &cfg).expect("encode run");
+    let codec = cells.encode(&machine, &w, &cfg).expect("encode run");
     let stream = run_streaming(&machine, &StreamingKernel::default());
     let resident = run_resident(&machine, 16 * 1024, 2000);
     let cols = [
@@ -505,7 +502,7 @@ fn contrast(opts: &Options) -> String {
     out
 }
 
-fn ablation_blocking(opts: &Options) -> String {
+fn ablation_blocking(opts: &Options, cells: &mut Cells) -> String {
     use m4ps_codec::SearchStrategy;
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
@@ -519,14 +516,17 @@ fn ablation_blocking(opts: &Options) -> String {
         ("diamond", SearchStrategy::Diamond, 8),
     ] {
         let cfg = StudyConfig::paper().with_search(strat, range);
-        let run = encode_study(&machine, &w, &cfg).expect("encode run");
-        cols.push((label, run.metrics.clone(), run.session.totals.candidates));
+        cols.push((label, cells.encode(&machine, &w, &cfg).expect("encode run")));
     }
-    let table_cols: Vec<(&str, &MemoryMetrics)> = cols.iter().map(|(l, m, _)| (*l, m)).collect();
+    let table_cols: Vec<(&str, &MemoryMetrics)> =
+        cols.iter().map(|(l, r)| (*l, &r.metrics)).collect();
     out.push_str(&render_table("search strategies", &table_cols));
     out.push('\n');
-    for (l, _, cand) in &cols {
-        out.push_str(&format!("{l}: {cand} candidates\n"));
+    for (l, r) in &cols {
+        out.push_str(&format!(
+            "{l}: {} candidates\n",
+            r.session.totals.candidates
+        ));
     }
     out.push_str(
         "\nThe exhaustive overlapping-window walk is what generates the paper's\n\
@@ -536,19 +536,18 @@ fn ablation_blocking(opts: &Options) -> String {
     out
 }
 
-fn ablation_l2(opts: &Options) -> String {
+fn ablation_l2(opts: &Options, cells: &mut Cells) -> String {
     let cfg = config(opts);
     let mut out = run_note(opts);
     out.push_str("## Ablation: L2 capacity sweep (decode, PAL)\n\n");
     let w = workload(opts, Resolution::PAL, 0, 1);
-    let streams = prepare_streams(&w, &cfg).expect("stream prep");
     out.push_str(&format!(
         "{:>8} {:>14} {:>14} {:>12}\n",
         "L2", "L2C miss rate", "L2-DRAM MB/s", "DRAM time"
     ));
     for mb in [1u64, 2, 4, 8, 16] {
         let machine = MachineSpec::o2().with_l2_mb(mb);
-        let run = decode_study(&machine, &w, &streams).expect("decode run");
+        let run = cells.decode(&machine, &w, &cfg).expect("decode run");
         out.push_str(&format!(
             "{:>8} {:>14} {:>14} {:>12}\n",
             format!("{mb}MB"),
@@ -560,7 +559,7 @@ fn ablation_l2(opts: &Options) -> String {
     out
 }
 
-fn ablation_prefetch(opts: &Options) -> String {
+fn ablation_prefetch(opts: &Options, cells: &mut Cells) -> String {
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
     out.push_str("## Ablation: software prefetch on/off (encode, PAL, R12K 1MB)\n\n");
@@ -568,7 +567,7 @@ fn ablation_prefetch(opts: &Options) -> String {
     for (label, prefetch) in [("prefetch ON", true), ("prefetch OFF", false)] {
         let mut cfg = config(opts);
         cfg.encoder.software_prefetch = prefetch;
-        let run = encode_study(&machine, &w, &cfg).expect("encode run");
+        let run = cells.encode(&machine, &w, &cfg).expect("encode run");
         let c = &run.metrics.counters;
         out.push_str(&format!(
             "{label}: prefetches {} ({:.4}% of loads), of which {:.1}% hit L1 (wasted); L1 miss rate {:.3}%\n",
@@ -593,7 +592,7 @@ fn ablation_prefetch(opts: &Options) -> String {
     out
 }
 
-fn ablation_4mv(opts: &Options) -> String {
+fn ablation_4mv(opts: &Options, cells: &mut Cells) -> String {
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
     out.push_str("## Ablation: advanced prediction (4MV) on/off (encode, PAL, 1MB L2)\n\n");
@@ -602,18 +601,14 @@ fn ablation_4mv(opts: &Options) -> String {
     for (label, four_mv) in [("1 MV per MB", false), ("4 MVs per MB", true)] {
         let mut cfg = config(opts);
         cfg.encoder.four_mv = four_mv;
-        let run = encode_study(&machine, &w, &cfg).expect("encode run");
-        cols.push((
-            label,
-            run.metrics.clone(),
-            run.session.bytes,
-            run.session.totals.candidates,
-        ));
+        cols.push((label, cells.encode(&machine, &w, &cfg).expect("encode run")));
     }
-    let table_cols: Vec<(&str, &MemoryMetrics)> = cols.iter().map(|(l, m, _, _)| (*l, m)).collect();
+    let table_cols: Vec<(&str, &MemoryMetrics)> =
+        cols.iter().map(|(l, r)| (*l, &r.metrics)).collect();
     out.push_str(&render_table("advanced prediction", &table_cols));
     out.push('\n');
-    for (l, _, bytes, cand) in &cols {
+    for (l, r) in &cols {
+        let (bytes, cand) = (r.session.bytes, r.session.totals.candidates);
         out.push_str(&format!(
             "{l}: {bytes} stream bytes, {cand} search candidates\n"
         ));
@@ -625,7 +620,7 @@ fn ablation_4mv(opts: &Options) -> String {
     out
 }
 
-fn ablation_resync(opts: &Options) -> String {
+fn ablation_resync(opts: &Options, cells: &mut Cells) -> String {
     let machine = MachineSpec::o2();
     let mut out = run_note(opts);
     out.push_str("## Ablation: resynchronization markers (encode, PAL, 1MB L2)\n\n");
@@ -634,13 +629,13 @@ fn ablation_resync(opts: &Options) -> String {
     for (label, interval) in [("no markers", None), ("marker per MB row", Some(45usize))] {
         let mut cfg = config(opts);
         cfg.encoder.resync_mb_interval = interval;
-        let run = encode_study(&machine, &w, &cfg).expect("encode run");
-        cols.push((label, run.metrics.clone(), run.session.bytes));
+        cols.push((label, cells.encode(&machine, &w, &cfg).expect("encode run")));
     }
-    let table_cols: Vec<(&str, &MemoryMetrics)> = cols.iter().map(|(l, m, _)| (*l, m)).collect();
+    let table_cols: Vec<(&str, &MemoryMetrics)> =
+        cols.iter().map(|(l, r)| (*l, &r.metrics)).collect();
     out.push_str(&render_table("resync markers", &table_cols));
     out.push('\n');
-    let (b0, b1) = (cols[0].2, cols[1].2);
+    let (b0, b1) = (cols[0].1.session.bytes, cols[1].1.session.bytes);
     out.push_str(&format!(
         "bitstream: {b0} -> {b1} bytes (+{:.1}%); cache metrics unchanged —\n\
          resilience costs bits, not memory behaviour.\n",
@@ -653,7 +648,7 @@ fn ablation_resync(opts: &Options) -> String {
 /// and modelled stall cycles go, for one encode and one decode run. The
 /// per-phase sums partition the aggregate counters bit-for-bit (the
 /// `phase_attribution` integration test holds this for every config).
-fn phases(opts: &Options) -> String {
+fn phases(opts: &Options, cells: &mut Cells) -> String {
     let machine = MachineSpec::o2();
     let cfg = config(opts);
     let mut out = run_note(opts);
@@ -663,30 +658,24 @@ fn phases(opts: &Options) -> String {
          directly. Phase sums equal the run totals exactly.\n\n",
     );
     let w = workload(opts, Resolution::PAL, 0, 1);
-    let enc = encode_study(&machine, &w, &cfg).expect("encode run");
-    out.push_str(&render_phase_table(
-        &format!(
-            "Per-phase attribution — video encoding ({})",
-            machine.column_label()
-        ),
-        &enc.profile,
-        &machine.timing,
-    ));
-    out.push('\n');
-    let streams = prepare_streams(&w, &cfg).expect("stream prep");
-    let dec = decode_study(&machine, &w, &streams).expect("decode run");
-    out.push_str(&render_phase_table(
-        &format!(
-            "Per-phase attribution — video decoding ({})",
-            machine.column_label()
-        ),
-        &dec.profile,
-        &machine.timing,
-    ));
+    for (mode, decode) in [("encoding", false), ("decoding", true)] {
+        if decode {
+            out.push('\n');
+        }
+        let run = study_run(cells, decode, &machine, &w, &cfg);
+        out.push_str(&render_phase_table(
+            &format!(
+                "Per-phase attribution — video {mode} ({})",
+                machine.column_label()
+            ),
+            &run.profile,
+            &machine.timing,
+        ));
+    }
     out
 }
 
-fn misses_by_structure(opts: &Options) -> String {
+fn misses_by_structure(opts: &Options, cells: &mut Cells) -> String {
     let machine = MachineSpec::o2();
     let cfg = config(opts);
     let mut out = run_note(opts);
@@ -696,10 +685,8 @@ fn misses_by_structure(opts: &Options) -> String {
          every demand miss to the buffer it lands in.\n\n",
     );
     let w = workload(opts, Resolution::PAL, 0, 1);
-    let enc = encode_study(&machine, &w, &cfg).expect("encode run");
-    let streams = prepare_streams(&w, &cfg).expect("stream prep");
-    let dec = decode_study(&machine, &w, &streams).expect("decode run");
-    for (label, run) in [("encoding", &enc), ("decoding", &dec)] {
+    for (label, decode) in [("encoding", false), ("decoding", true)] {
+        let run = study_run(cells, decode, &machine, &w, &cfg);
         let total: u64 = run.metrics.counters.l1_misses.max(1);
         out.push_str(&format!("{label}:\n"));
         for r in &run.region_misses {
@@ -724,29 +711,17 @@ fn misses_by_structure(opts: &Options) -> String {
     out
 }
 
-fn memwall(opts: &Options) -> String {
+fn memwall(opts: &Options, cells: &mut Cells) -> String {
     use m4ps_core::memwall::{crossover, sweep};
     let machine = MachineSpec::o2();
     let cfg = config(opts);
     let mut out = run_note(opts);
     out.push_str("## Future work: when does MPEG-4 become memory limited?\n\n");
     let w = workload(opts, Resolution::PAL, 0, 1);
-    for (label, counters) in [
-        (
-            "encode",
-            encode_study(&machine, &w, &cfg)
-                .expect("encode run")
-                .metrics
-                .counters,
-        ),
-        ("decode", {
-            let streams = prepare_streams(&w, &cfg).expect("stream prep");
-            decode_study(&machine, &w, &streams)
-                .expect("decode run")
-                .metrics
-                .counters
-        }),
-    ] {
+    for (label, decode) in [("encode", false), ("decode", true)] {
+        let counters = study_run(cells, decode, &machine, &w, &cfg)
+            .metrics
+            .counters;
         let ratios = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
         let pts = sweep(&counters, &machine, &ratios);
         out.push_str(&format!(
@@ -772,7 +747,7 @@ fn memwall(opts: &Options) -> String {
     out
 }
 
-fn simd_projection(opts: &Options) -> String {
+fn simd_projection(opts: &Options, cells: &mut Cells) -> String {
     use m4ps_core::simd::project_all;
     let machine = MachineSpec::o2();
     let cfg = config(opts);
@@ -781,7 +756,7 @@ fn simd_projection(opts: &Options) -> String {
         "## Future work: fetch rate vs L1 bandwidth under SIMD/vector ISAs (encode, PAL)\n\n",
     );
     let w = workload(opts, Resolution::PAL, 0, 1);
-    let run = encode_study(&machine, &w, &cfg).expect("encode run");
+    let run = cells.encode(&machine, &w, &cfg).expect("encode run");
     for p in project_all(&run.metrics.counters, &machine) {
         out.push_str(&format!(
             "{:32} issue {:>12.0} cycles | L1-bw {:>12.0} cycles | mem stalls {:>11.0} -> limited by {:?}\n",
@@ -793,12 +768,6 @@ fn simd_projection(opts: &Options) -> String {
          bound; only long-vector execution pushes the limit into L1 bandwidth.\n",
     );
     out
-}
-
-// Keep the unused METRIC_ROWS import meaningful for future rows.
-#[allow(unused)]
-fn _rows() -> usize {
-    METRIC_ROWS.len()
 }
 
 #[cfg(test)]
@@ -824,12 +793,12 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_none() {
-        assert!(run_experiment("table99", &tiny()).is_none());
+        assert!(run_experiment("table99", &tiny(), &mut Cells::default()).is_none());
     }
 
     #[test]
     fn table1_prints_all_machines() {
-        let out = run_experiment("table1", &tiny()).unwrap();
+        let out = run_experiment("table1", &tiny(), &mut Cells::default()).unwrap();
         assert!(out.contains("SGI O2"));
         assert!(out.contains("SGI Onyx VTX"));
         assert!(out.contains("SGI Onyx2 InfiniteReality"));
@@ -838,7 +807,7 @@ mod tests {
 
     #[test]
     fn contrast_runs_at_tiny_scale() {
-        let out = run_experiment("contrast", &tiny()).unwrap();
+        let out = run_experiment("contrast", &tiny(), &mut Cells::default()).unwrap();
         assert!(out.contains("streaming"));
         assert!(out.contains("bus utilization"));
     }

@@ -6,9 +6,8 @@
 //! rest of the program. We accumulate the same windows in the coders and
 //! compare their derived metrics against the whole-program numbers.
 
-use crate::study::{RunResult, StudyConfig, Workload};
-use m4ps_codec::CodecError;
-use m4ps_memsim::{MachineSpec, MemoryMetrics};
+use crate::study::RunResult;
+use m4ps_memsim::MemoryMetrics;
 
 /// Window-vs-whole-program comparison for one run.
 #[derive(Debug, Clone)]
@@ -24,8 +23,11 @@ pub struct BurstReport {
 }
 
 impl BurstReport {
-    fn build(function: &'static str, run: &RunResult, machine: &MachineSpec) -> BurstReport {
-        let window = MemoryMetrics::derive(&run.vop_window, machine);
+    /// Compares `run`'s VOP windows against the whole run on the
+    /// machine it simulated. The paper reads `VopEncode` from an encode
+    /// run and `VopDecode` from a decode run on the R12K/8MB Onyx2.
+    pub fn new(function: &'static str, run: &RunResult) -> BurstReport {
+        let window = MemoryMetrics::derive(&run.vop_window, &run.machine);
         let whole = run.metrics.clone();
         let share = if whole.counters.memory_refs() > 0 {
             run.vop_window.memory_refs() as f64 / whole.counters.memory_refs() as f64
@@ -41,31 +43,23 @@ impl BurstReport {
     }
 }
 
-/// Runs the paper's burstiness experiment: encode and decode on one
-/// machine (the paper uses the R12K/8MB Onyx2), returning the
-/// `VopEncode` and `VopDecode` reports.
-///
-/// # Errors
-///
-/// Propagates codec errors.
-pub fn burstiness(
-    machine: &MachineSpec,
-    workload: &Workload,
-    config: &StudyConfig,
-) -> Result<(BurstReport, BurstReport), CodecError> {
-    let enc = crate::study::encode_study(machine, workload, config)?;
-    let streams = crate::study::prepare_streams(workload, config)?;
-    let dec = crate::study::decode_study(machine, workload, &streams)?;
-    Ok((
-        BurstReport::build("VopEncode", &enc, machine),
-        BurstReport::build("VopDecode", &dec, machine),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::{Cells, StudyConfig, Workload};
+    use m4ps_memsim::MachineSpec;
     use m4ps_vidgen::Resolution;
+
+    /// The paper's Table 8 pair: `VopEncode` and `VopDecode` on the
+    /// Onyx2.
+    fn burstiness(w: &Workload) -> (BurstReport, BurstReport) {
+        let (machine, cfg) = (MachineSpec::onyx2(), StudyConfig::fast());
+        let mut cells = Cells::default();
+        (
+            BurstReport::new("VopEncode", &cells.encode(&machine, w, &cfg).unwrap()),
+            BurstReport::new("VopDecode", &cells.decode(&machine, w, &cfg).unwrap()),
+        )
+    }
 
     #[test]
     fn windows_dominate_but_do_not_exhaust_the_program() {
@@ -76,7 +70,7 @@ mod tests {
             layers: 1,
             seed: 1,
         };
-        let (enc, dec) = burstiness(&MachineSpec::onyx2(), &w, &StudyConfig::fast()).unwrap();
+        let (enc, dec) = burstiness(&w);
         for rep in [&enc, &dec] {
             assert!(
                 rep.window_ref_share > 0.5 && rep.window_ref_share < 1.0,
@@ -103,7 +97,7 @@ mod tests {
             layers: 1,
             seed: 2,
         };
-        let (enc, dec) = burstiness(&MachineSpec::onyx2(), &w, &StudyConfig::fast()).unwrap();
+        let (enc, dec) = burstiness(&w);
         for rep in [&enc, &dec] {
             assert!(
                 rep.window.l1_miss_rate < 0.05,

@@ -10,7 +10,8 @@
 //! has a generator here:
 //!
 //! - [`study`] — instrumented encode/decode runs (Tables 2–7, Figures
-//!   2–4),
+//!   2–4) and [`Cells`], the memo that simulates each one once per
+//!   `repro` invocation,
 //! - [`burst`] — function-level `VopCode` / `DecodeVop…` windows
 //!   (Table 8),
 //! - [`fallacy`] — the five "fallacy" verdicts of §3.2,
@@ -50,8 +51,8 @@ pub mod simd;
 pub mod study;
 
 pub use study::{
-    decode_study, decode_study_with, encode_study, prepare_streams, RunResult, StudyConfig,
-    Workload, DECODE_THREADS_ENV,
+    decode_study, decode_study_with, encode_study, prepare_streams, Cells, RunResult, StudyConfig,
+    Workload,
 };
 
 // Re-exports so downstream binaries need only this crate.

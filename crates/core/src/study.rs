@@ -95,20 +95,6 @@ pub struct StudyConfig {
     pub pool: Option<std::sync::Arc<m4ps_pool::WorkerPool>>,
 }
 
-impl PartialEq for StudyConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.encoder == other.encoder
-            && self.threads == other.threads
-            && self.dump == other.dump
-            // Pools have identity, not value, semantics.
-            && match (&self.pool, &other.pool) {
-                (None, None) => true,
-                (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
 impl StudyConfig {
     /// The paper-reproduction configuration: full search ±8, half-pel,
     /// IBBP, 38400 bit/s rate control, software prefetch on.
@@ -261,38 +247,70 @@ pub fn encode_study(
     workload: &Workload,
     config: &StudyConfig,
 ) -> Result<RunResult, CodecError> {
-    let mut space = AddressSpace::new();
-    let mut mem = if config.encoder.software_prefetch {
+    let mem = if config.encoder.software_prefetch {
         Hierarchy::new(machine.clone())
     } else {
         Hierarchy::without_prefetch(machine.clone())
     };
-    let dump = dump_path(config.dump.as_deref());
+    instrumented_run(mem, config, |space, mem, recorder| {
+        let (_, session, vop_window) =
+            drive_encode(space, mem, workload, config, recorder, |sp, m| {
+                m.attach_regions(sp.regions())
+            })?;
+        Ok((session, vop_window))
+    })
+}
+
+/// Runs `body` as one instrumented study on `mem` and derives the
+/// paper's metrics. The body returns the session statistics and the
+/// VOP-window counters; everything it charges happens inside the root
+/// `run` span, so the profile's per-phase sums partition the aggregate
+/// counters. A dump path (the config's, else [`DUMP_ENV`]) installs a
+/// flight recorder whose dump is written at the end, best effort: a
+/// failed write does not fail the study, and studies sharing a path
+/// each keep their own dump ([`m4ps_obs::Dump::write_numbered`]).
+fn instrumented_run(
+    mut mem: Hierarchy,
+    config: &StudyConfig,
+    body: impl FnOnce(
+        &mut AddressSpace,
+        &mut Hierarchy,
+        Option<&m4ps_obs::Recorder>,
+    ) -> Result<(SessionStats, Counters), CodecError>,
+) -> Result<RunResult, CodecError> {
+    let mut space = AddressSpace::new();
+    let dump = config
+        .dump
+        .clone()
+        .or_else(|| std::env::var(DUMP_ENV).ok().filter(|p| !p.is_empty()));
     let profiler = Profiler::new(false);
     let recorder = dump.as_ref().map(|_| m4ps_obs::Recorder::new(0));
     if let Some(rec) = &recorder {
         profiler.set_recorder(rec);
     }
-    // Everything the run charges happens inside the root `run` span, so
-    // the profile's per-phase sums partition the aggregate counters.
     let guard = profiler.attach();
-    record_kernel_tier(&profiler);
+    // The resolved kernel tier goes on the session as a gauge and on the
+    // recorder as its label, so dumps and traces say which dispatch
+    // table produced them.
+    let tier = m4ps_dsp::active_tier();
+    m4ps_obs::gauge_set(m4ps_obs::MetricId::KernelTier, tier as u64);
+    if let Some(rec) = &recorder {
+        rec.set_label(&format!("kernels={}", tier.name()));
+    }
     m4ps_obs::enter(Phase::Run, *mem.counters());
-    let result = drive_encode(
-        &mut space,
-        &mut mem,
-        workload,
-        config,
-        recorder.as_ref(),
-        |sp, m| m.attach_regions(sp.regions()),
-    );
+    let result = body(&mut space, &mut mem, recorder.as_ref());
     m4ps_obs::exit(Phase::Run, *mem.counters());
     drop(guard);
-    let (_, session, vop_window) = result?;
-    write_dump_if_requested(recorder.as_ref(), dump.as_deref());
-    let metrics = MemoryMetrics::derive(mem.counters(), machine);
+    let (session, vop_window) = result?;
+    if let (Some(rec), Some(path)) = (&recorder, &dump) {
+        if let Err(e) = rec.snapshot().write_numbered(path) {
+            eprintln!("m4ps: could not write flight dump to {path}: {e}");
+        }
+    }
+    let machine = mem.machine().clone();
+    let metrics = MemoryMetrics::derive(mem.counters(), &machine);
     Ok(RunResult {
-        machine: machine.clone(),
+        machine,
         metrics,
         session,
         vop_window,
@@ -300,38 +318,6 @@ pub fn encode_study(
         region_misses: mem.region_misses(),
         profile: profiler.profile(),
     })
-}
-
-/// Records the resolved SIMD kernel tier on the session: a
-/// `kernel_tier` gauge (numeric tier id) and, when a recorder is
-/// installed, a `kernels=<tier>` recorder label, so exported dumps and
-/// traces say which dispatch table produced them. Call with the session
-/// attached (the gauge records through the thread-local session).
-fn record_kernel_tier(profiler: &Profiler) {
-    let tier = m4ps_dsp::active_tier();
-    m4ps_obs::gauge_set(m4ps_obs::MetricId::KernelTier, tier as u64);
-    if let Some(rec) = profiler.recorder() {
-        rec.set_label(&format!("kernels={}", tier.name()));
-    }
-}
-
-/// Resolves the effective flight-recorder dump path: explicit config,
-/// then the [`DUMP_ENV`] environment override.
-fn dump_path(explicit: Option<&str>) -> Option<String> {
-    explicit
-        .map(str::to_owned)
-        .or_else(|| std::env::var(DUMP_ENV).ok().filter(|p| !p.is_empty()))
-}
-
-/// Best-effort flight-recorder export; a failed write must not fail
-/// the study. Every study of a process that shares one dump path keeps
-/// its own dump (see [`m4ps_obs::Dump::write_numbered`]).
-fn write_dump_if_requested(recorder: Option<&m4ps_obs::Recorder>, path: Option<&str>) {
-    if let (Some(rec), Some(path)) = (recorder, path) {
-        if let Err(e) = rec.snapshot().write_numbered(path) {
-            eprintln!("m4ps: could not write flight dump to {path}: {e}");
-        }
-    }
 }
 
 /// Produces the elementary streams for `workload` at full speed (no
@@ -351,26 +337,10 @@ pub fn prepare_streams(
     Ok(streams)
 }
 
-/// Environment override for the decoder's slice-parallel worker count
-/// (the decode-side sibling of `M4PS_THREADS`). Unset, empty, invalid
-/// or `0` decodes multi-slice VOPs on one worker, inline on the caller.
-/// Output is identical for every value; single-slice VOPs (the paper
-/// configuration) never use a pool.
-pub const DECODE_THREADS_ENV: &str = "M4PS_DECODE_THREADS";
-
-/// Worker count from [`DECODE_THREADS_ENV`]; `0` means one worker on
-/// the caller.
-fn decode_threads_from_env() -> usize {
-    std::env::var(DECODE_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Runs the decoding experiment on `machine` over pre-encoded
-/// `streams` (one column of Tables 3/5/7). Decode parallelism comes
-/// from [`DECODE_THREADS_ENV`]; use [`decode_study_with`] to pass an
-/// explicit thread count or share a pool across studies.
+/// `streams` (one column of Tables 3/5/7), on the caller; use
+/// [`decode_study_with`] to pass a thread count or share a pool across
+/// studies.
 ///
 /// # Errors
 ///
@@ -384,11 +354,11 @@ pub fn decode_study(
 }
 
 /// [`decode_study`] with an explicit [`StudyConfig`]: a shared
-/// `config.pool` takes precedence, then `config.threads`, then the
-/// [`DECODE_THREADS_ENV`] override; all zero/unset means one worker on
-/// the caller. Like the encoder this is a pure scheduling knob —
-/// reconstructions, session stats and counters are identical for every
-/// value.
+/// `config.pool` takes precedence, then `config.threads`; zero means
+/// one worker on the caller. Like the encoder this is a pure scheduling
+/// knob — reconstructions, session stats and counters are identical
+/// for every value (single-slice VOPs, the paper configuration, never
+/// use a pool).
 ///
 /// # Errors
 ///
@@ -399,54 +369,115 @@ pub fn decode_study_with(
     streams: &[Vec<u8>],
     config: &StudyConfig,
 ) -> Result<RunResult, CodecError> {
-    let mut space = AddressSpace::new();
-    let mut mem = Hierarchy::new(machine.clone());
-    let dump = dump_path(config.dump.as_deref());
-    let profiler = Profiler::new(false);
-    let recorder = dump.as_ref().map(|_| m4ps_obs::Recorder::new(0));
-    if let Some(rec) = &recorder {
-        profiler.set_recorder(rec);
-    }
     let pool = match &config.pool {
         Some(shared) => Some(shared.clone()),
+        None => (config.threads > 0)
+            .then(|| std::sync::Arc::new(m4ps_pool::WorkerPool::new(config.threads))),
+    };
+    instrumented_run(
+        Hierarchy::new(machine.clone()),
+        config,
+        |space, mem, recorder| {
+            let mut dec = SceneDecoder::new(space, mem, streams, workload.layers)?;
+            if let Some(pool) = &pool {
+                if let Some(rec) = recorder {
+                    pool.set_recorder(rec);
+                }
+                dec.set_pool(pool.clone());
+            }
+            mem.attach_regions(space.regions());
+            let _ = dec.decode_all(mem, streams)?;
+            Ok((dec.stats(), dec.vop_window()))
+        },
+    )
+}
+
+/// One `repro` invocation's memo of study cells: every experiment reads
+/// its runs from here, so each distinct (machine, workload, config)
+/// cell is simulated once however many tables and figures print it.
+///
+/// A cell's key is the full [`MachineSpec`], the [`Workload`] and the
+/// full [`EncoderConfig`] — never a column label, which two distinct
+/// machines may share. [`StudyConfig::threads`], `pool` and `dump` are
+/// not part of it: output is bit-identical across them, and the first
+/// request's values are the ones used. Decode cells take their streams
+/// from a memo keyed by (workload, encoder config) whose only producer
+/// is [`prepare_streams`]. A linear scan is enough for the few dozen
+/// cells a `repro` run holds.
+#[derive(Debug, Default)]
+pub struct Cells {
+    encodes: Vec<(CellKey, RunResult)>,
+    decodes: Vec<(CellKey, RunResult)>,
+    streams: Vec<((Workload, EncoderConfig), Streams)>,
+}
+
+/// The elementary streams [`prepare_streams`] returns.
+type Streams = Vec<Vec<u8>>;
+
+/// A cell's key: machine, workload and encoder config.
+type CellKey = (MachineSpec, Workload, EncoderConfig);
+
+impl Cells {
+    /// [`encode_study`] of the cell, simulated on the first request
+    /// only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec errors.
+    pub fn encode(
+        &mut self,
+        machine: &MachineSpec,
+        workload: &Workload,
+        config: &StudyConfig,
+    ) -> Result<RunResult, CodecError> {
+        let key = (machine.clone(), *workload, config.encoder);
+        memo(&mut self.encodes, key, || {
+            encode_study(machine, workload, config)
+        })
+        .cloned()
+    }
+
+    /// [`decode_study_with`] of the cell over the streams
+    /// [`prepare_streams`] produces for `workload` and
+    /// `config.encoder`; both are computed on the first request only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec errors.
+    pub fn decode(
+        &mut self,
+        machine: &MachineSpec,
+        workload: &Workload,
+        config: &StudyConfig,
+    ) -> Result<RunResult, CodecError> {
+        let key = (machine.clone(), *workload, config.encoder);
+        let Cells {
+            decodes, streams, ..
+        } = self;
+        memo(decodes, key, || {
+            let streams = memo(streams, (*workload, config.encoder), || {
+                prepare_streams(workload, config)
+            })?;
+            decode_study_with(machine, workload, streams, config)
+        })
+        .cloned()
+    }
+}
+
+/// The value memoized under `key`, made by `make` if absent.
+fn memo<K: PartialEq, V>(
+    memo: &mut Vec<(K, V)>,
+    key: K,
+    make: impl FnOnce() -> Result<V, CodecError>,
+) -> Result<&V, CodecError> {
+    let i = match memo.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
         None => {
-            let threads = if config.threads > 0 {
-                config.threads
-            } else {
-                decode_threads_from_env()
-            };
-            (threads > 0).then(|| std::sync::Arc::new(m4ps_pool::WorkerPool::new(threads)))
+            memo.push((key, make()?));
+            memo.len() - 1
         }
     };
-    let guard = profiler.attach();
-    record_kernel_tier(&profiler);
-    m4ps_obs::enter(Phase::Run, *mem.counters());
-    let result = (|| -> Result<SceneDecoder, CodecError> {
-        let mut dec = SceneDecoder::new(&mut space, &mut mem, streams, workload.layers)?;
-        if let Some(pool) = pool {
-            if let Some(rec) = &recorder {
-                pool.set_recorder(rec);
-            }
-            dec.set_pool(pool);
-        }
-        mem.attach_regions(space.regions());
-        let _ = dec.decode_all(&mut mem, streams)?;
-        Ok(dec)
-    })();
-    m4ps_obs::exit(Phase::Run, *mem.counters());
-    drop(guard);
-    let dec = result?;
-    write_dump_if_requested(recorder.as_ref(), dump.as_deref());
-    let metrics = MemoryMetrics::derive(mem.counters(), machine);
-    Ok(RunResult {
-        machine: machine.clone(),
-        metrics,
-        session: dec.stats(),
-        vop_window: dec.vop_window(),
-        resident_bytes: space.allocated_bytes(),
-        region_misses: mem.region_misses(),
-        profile: profiler.profile(),
-    })
+    Ok(&memo[i].1)
 }
 
 #[cfg(test)]
@@ -530,6 +561,45 @@ mod tests {
         assert_eq!(shared.session.totals, seq.session.totals);
         let shared2 = decode_study_with(&MachineSpec::o2(), &w, &streams, &shared_cfg).unwrap();
         assert_eq!(shared.metrics.counters, shared2.metrics.counters);
+    }
+
+    #[test]
+    fn repeated_cell_requests_do_not_simulate_again() {
+        // Every simulation writes a flight dump; a second one to the
+        // same path would write `<stem>.<k>.jsonl`, so the dumps on disk
+        // count the simulations.
+        let path =
+            std::env::temp_dir().join(format!("m4ps_study_cells_{}.jsonl", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let (w, cfg) = (tiny_workload(), StudyConfig::fast().with_dump(&path));
+        let mut cells = Cells::default();
+        let enc = cells.encode(&MachineSpec::o2(), &w, &cfg).unwrap();
+        let again = cells.encode(&MachineSpec::o2(), &w, &cfg).unwrap();
+        assert_eq!(enc.metrics.counters, again.metrics.counters);
+        let dec = cells.decode(&MachineSpec::o2(), &w, &cfg).unwrap();
+        let again = cells.decode(&MachineSpec::o2(), &w, &cfg).unwrap();
+        assert_eq!(dec.metrics.counters, again.metrics.counters);
+        // A new machine is a new cell over the same streams.
+        let onyx2 = cells.decode(&MachineSpec::onyx2(), &w, &cfg).unwrap();
+        assert_eq!(onyx2.machine, MachineSpec::onyx2());
+        let dumps: Vec<bool> = (0..4)
+            .map(|k| {
+                let dump = m4ps_obs::Dump::repeat_path(&path, k);
+                let written = std::path::Path::new(&dump).exists();
+                std::fs::remove_file(&dump).ok();
+                std::fs::remove_file(m4ps_obs::Dump::trace_path(&dump)).ok();
+                written
+            })
+            .collect();
+        assert_eq!(dumps, [true, true, true, false], "one dump per cell");
+        assert_eq!(
+            (
+                cells.encodes.len(),
+                cells.decodes.len(),
+                cells.streams.len()
+            ),
+            (1, 2, 1)
+        );
     }
 
     #[test]

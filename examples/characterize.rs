@@ -8,11 +8,12 @@
 //! `slices` partitions each VOP into that many independently decodable
 //! macroblock-row slices (a bitstream parameter); `threads` is the
 //! worker count the slices are scheduled onto (0 = `M4PS_THREADS` or
-//! the machine's parallelism). The stream and the paper metrics are
-//! identical for every thread count.
+//! the machine's parallelism for encode, one worker on the caller for
+//! decode). The stream and the paper metrics are identical for every
+//! thread count.
 
 use m4ps::core::report::{format_cell, METRIC_ROWS};
-use m4ps::core::study::{decode_study, encode_study, prepare_streams, StudyConfig, Workload};
+use m4ps::core::study::{decode_study_with, encode_study, prepare_streams, StudyConfig, Workload};
 use m4ps::memsim::MachineSpec;
 use m4ps::vidgen::Resolution;
 
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enc = encode_study(&machine, &workload, &config)?;
     println!("decoding...");
     let streams = prepare_streams(&workload, &config)?;
-    let dec = decode_study(&machine, &workload, &streams)?;
+    let dec = decode_study_with(&machine, &workload, &streams, &config)?;
 
     println!("\n{:22} {:>14} {:>14}", "metrics", "encoding", "decoding");
     println!("{}", "-".repeat(52));

@@ -79,6 +79,10 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # TRACE_smoke.trace.json + PHASES_smoke.jsonl.
 scripts/trace_smoke.sh
 
+# repro output gate: every experiment at smoke scale must print the
+# checked-in REPRO_smoke.txt byte for byte.
+scripts/repro_smoke.sh
+
 # Multi-session service smoke: 64-session closed-loop batch plus an
 # open-loop burst with admission thresholds armed; writes
 # LOADGEN_smoke.json (sessions/sec + latency percentiles).
